@@ -1,4 +1,4 @@
-// Two experiments share this binary:
+// Three experiments share this binary:
 //
 //   default    EXP-F1 — Figure 1, the general scenario, as a running system.
 //              A handheld installs queries at the base station; data streams
@@ -19,13 +19,6 @@
 //                   backhaul flows end to end in flow mode — the scenario
 //                   the per-hop packet tier cannot reach.
 //
-//   --mobile   EXP-N3 (scenario slice) — the query suite with seeded
-//              waypoint walkers roaming mid-run, once per incremental-epoch
-//              mode on the same seed.  Gate: query fingerprints (answers,
-//              costs, raw network counters) bit-identical across modes —
-//              incremental topology changes the work, never the answer.
-//              The table records the cache-survival counters.
-//
 //   --load     EXP-Q1 — multi-query sharing under sustained load.  An
 //              overlap sweep submits G canonical groups x F subscribers on
 //              identical seeds with and without the sharing layer, then
@@ -42,7 +35,6 @@
 
 #include "bench_util.hpp"
 #include "core/sharded.hpp"
-#include "net/mobility.hpp"
 
 namespace {
 
@@ -533,119 +525,6 @@ int run_load_experiment(bench::Experiment& experiment, bool quick) {
   return ok ? 0 : 1;
 }
 
-// --- EXP-N3 companion: the scenario under mobile clients ---------------------
-
-/// One full query suite with seeded waypoint walkers roaming while the
-/// queries run, returning the fingerprints plus the topology-cache
-/// counters.  The same seed drives both incremental-epoch modes, so the
-/// fingerprints must be bit-identical: incremental topology changes what
-/// work is done, never what is answered.
-struct MobileRun {
-  std::vector<QueryFingerprint> prints;
-  net::RouteCache::Stats cache;
-  net::TopologyStats topo;
-  net::FlowStats flow;
-  std::uint64_t moves = 0;
-};
-
-MobileRun run_mobile_suite(bool incremental) {
-  auto config = bench::standard_config(100);
-  config.flow.enabled = true;  // the plan cache rides the same epochs
-  config.topology.incremental = incremental;
-  core::PervasiveGridRuntime runtime(config);
-  bench::ignite_standard_fire(runtime);
-
-  const auto sensors = runtime.sensors().sensors();
-  std::vector<net::NodeId> walkers(
-      sensors.begin(),
-      sensors.begin() + std::min<std::size_t>(sensors.size(), 2));
-  net::WaypointConfig wconfig;
-  wconfig.width_m = runtime.config().sensors.width_m * 0.2;
-  wconfig.height_m = wconfig.width_m;
-  wconfig.min_speed_m_s = 1.0;
-  wconfig.max_speed_m_s = 2.0;
-  wconfig.horizon = sim::SimTime::seconds(25.0);
-  net::WaypointMobility mobility(runtime.network(), walkers, wconfig,
-                                 common::Rng(0xB0B1ULL));
-  mobility.start();
-
-  // A steady trickle of route lookups while the walkers roam: pure reads
-  // (no energy, no rng, no frames), identical in both modes, but they give
-  // the epoch machinery frequent sync points so the deltas stay small
-  // enough to apply scoped instead of widening to a rebuild.
-  auto& network = runtime.network();
-  for (int i = 0; i < 20; ++i) {
-    runtime.simulator().schedule(
-        sim::SimTime::seconds(1.0 + double(i)), [&network, sensors] {
-          // A pair away from the walkers' corner.  On this small floor the
-          // walkers' gather block still covers much of the field, so most
-          // epochs drop the route — the per-entry verdicts (kept/dropped
-          // columns) are the point; survival at scale is EXP-N3's table.
-          net::cached_shortest_path(network, sensors[sensors.size() / 2],
-                                    sensors.back());
-        });
-  }
-
-  static const char* kQueries[] = {
-      "SELECT temp FROM sensors WHERE sensor = 10",
-      "SELECT AVG(temp) FROM sensors",
-      "SELECT temp FROM sensors WHERE sensor = 10 EPOCH DURATION 10",
-  };
-  MobileRun out;
-  for (const char* text : kQueries) {
-    runtime.reset_energy();
-    const auto outcome = runtime.submit_and_run(text);
-    QueryFingerprint p;
-    p.value = outcome.actual.value;
-    p.energy_j = outcome.actual.energy_j;
-    p.response_s = outcome.actual.response_s;
-    p.handheld_s = outcome.handheld_response_s;
-    p.net = runtime.network().stats();
-    out.prints.push_back(p);
-  }
-  out.cache = runtime.network().route_cache().stats();
-  out.topo = runtime.network().topology_stats();
-  if (auto* flow = runtime.flow_model()) out.flow = flow->stats();
-  out.moves = mobility.moves();
-  return out;
-}
-
-int run_mobile_experiment(bench::Experiment& experiment) {
-  const MobileRun off = run_mobile_suite(false);
-  const MobileRun on = run_mobile_suite(true);
-
-  bool identical = off.prints.size() == on.prints.size();
-  for (std::size_t i = 0; identical && i < off.prints.size(); ++i) {
-    identical = off.prints[i] == on.prints[i];
-  }
-
-  common::Table table({"mode", "moves", "cache hits", "cache misses",
-                       "scoped epochs", "global epochs", "rows patched",
-                       "routes kept", "routes dropped", "plans kept",
-                       "plans dropped", "identical"});
-  for (const MobileRun* run : {&off, &on}) {
-    table.add_row({run == &on ? "incremental" : "global-flush",
-                   common::Table::num(run->moves),
-                   common::Table::num(run->cache.hits),
-                   common::Table::num(run->cache.misses),
-                   common::Table::num(run->topo.scoped_epochs),
-                   common::Table::num(run->topo.global_epochs),
-                   common::Table::num(run->topo.rows_patched),
-                   common::Table::num(run->cache.routes_kept),
-                   common::Table::num(run->cache.routes_dropped),
-                   common::Table::num(run->flow.plans_kept),
-                   common::Table::num(run->flow.plans_dropped),
-                   run == &on ? (identical ? "YES" : "NO") : "-"});
-  }
-  experiment.series("mobile_clients", table);
-  experiment.note(identical
-                      ? "EXP-N3 scenario gate: fingerprints bit-identical "
-                        "across incremental-epoch modes under mobility."
-                      : "EXP-N3 scenario gate: FAILURE — incremental mode "
-                        "changed a query outcome.");
-  return identical ? 0 : 1;
-}
-
 // --- EXP-F1 (the original scenario table) -----------------------------------
 
 int run_figure1(bench::Experiment& experiment) {
@@ -692,21 +571,11 @@ int run_figure1(bench::Experiment& experiment) {
 int main(int argc, char** argv) {
   bool city = false;
   bool load = false;
-  bool mobile = false;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--city") == 0) city = true;
     if (std::strcmp(argv[i], "--load") == 0) load = true;
-    if (std::strcmp(argv[i], "--mobile") == 0) mobile = true;
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  if (mobile) {
-    bench::Experiment experiment(
-        argc, argv, "EXP-N3 (scenario): mobile clients, incremental epochs",
-        "the full query scenario with seeded waypoint walkers must answer "
-        "bit-identically whether topology epochs are incremental or "
-        "global-flush; only the cache work differs");
-    return run_mobile_experiment(experiment);
   }
   if (load) {
     bench::Experiment experiment(

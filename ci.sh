@@ -53,7 +53,7 @@ echo "=== chaos smoke: 25 seeds/mix, all invariants, asan-ubsan ==="
 PGRID_CHAOS_SEEDS=25 out/asan-ubsan/tests/test_chaos \
   --gtest_filter='ChaosSweep.*'
 
-echo "=== bench smoke: kernel + decision maker + topology + reliability + city + load + mobile ==="
+echo "=== bench smoke: kernel + decision maker + topology + reliability + city + load ==="
 # Quick-mode perf smoke on the plain build: the binaries must run, emit
 # schema-valid JSON, and the kernel/topology/reliability/scenario benches
 # must pass their built-in determinism/oracle/ablation gates (non-zero exit
@@ -79,11 +79,9 @@ echo "=== bench smoke: kernel + decision maker + topology + reliability + city +
 # also carries EXP-N3: the incremental-topology-epoch mobility sweep —
 # patched snapshots and surviving cached routes checked bit-identical
 # against the fresh-full-rebuild oracle, with the steady-state route-
-# acquisition speedup gate (>=2x over global-flush at the --quick size,
-# >=5x at N=1600 in the full run) enforced in the exit code.  The mobile
-# run is the EXP-N3 scenario slice: the query suite under seeded waypoint
-# walkers once per incremental-epoch mode, gating on bit-identical query
-# fingerprints (the topology kill-switch contract end to end).
+# acquisition speedup gate (>=2x over a baseline that forces a global
+# epoch every round at the --quick size, >=5x at N=1600 in the full run)
+# enforced in the exit code.
 out/default/bench/bench_sim_kernel --json --quick > BENCH_kernel.json
 out/default/bench/bench_decision_maker --json > /tmp/bench_dm.json
 out/default/bench/bench_routing --json --quick > BENCH_topology.json
@@ -91,8 +89,7 @@ out/default/bench/bench_resilience --chaos --json > BENCH_resilience.json
 out/default/bench/bench_resilience --failover --quick --json > BENCH_failover.json
 out/default/bench/bench_scenario --city --quick --json > BENCH_scenario.json
 out/default/bench/bench_scenario --load --quick --json > BENCH_load.json
-out/default/bench/bench_scenario --mobile --json > /tmp/bench_mobile.json
-python3 - BENCH_kernel.json /tmp/bench_dm.json BENCH_topology.json BENCH_resilience.json BENCH_failover.json BENCH_scenario.json BENCH_load.json /tmp/bench_mobile.json <<'PY'
+python3 - BENCH_kernel.json /tmp/bench_dm.json BENCH_topology.json BENCH_resilience.json BENCH_failover.json BENCH_scenario.json BENCH_load.json <<'PY'
 import json, sys
 for path in sys.argv[1:]:
     with open(path) as fh:
@@ -109,4 +106,20 @@ for path in sys.argv[1:]:
     print(f"bench JSON ok: {path} ({len(report['series'])} series)")
 PY
 
-echo "CI OK: both presets built, all tests passed, bench smoke clean."
+echo "=== perf harness: build, unit tests, one rep per workload ==="
+# The standalone perf project (perf/, BENCHMARK.json) compiles ../src on its
+# own.  Its unit tests run under ctest; then every BENCHMARK.json workload
+# runs once at seed 1 with no time budget, so any of pgrid_perf's built-in
+# correctness gates (outcome digest stability, exactly-once completion,
+# ledger conservation) fails CI through the exit code.
+cmake -S perf -B out/perf-ci -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DPGRID_WERROR=ON
+cmake --build out/perf-ci -j "${JOBS}" --target pgrid_perf perf_tests
+ctest --test-dir out/perf-ci --output-on-failure -j "${JOBS}"
+for workload in $(python3 -c '
+import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  out/perf-ci/pgrid_perf --workload "${workload}" --seed 1 --reps 1 --seconds 0
+done
+
+echo "CI OK: both presets built, all tests passed, bench smoke clean, perf gates clean."

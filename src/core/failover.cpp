@@ -426,6 +426,13 @@ void FailoverManager::restore_from_checkpoint() {
 void FailoverManager::checkpoint_now() {
   if (station_down_) return;
   if (config_.checkpoint_period_s <= 0.0) return;  // checkpointing disabled
+  // Replay window (station up, restore not yet run): crashed records hold
+  // no epochs until the replay reloads them, so an image taken now would
+  // overwrite the last good one with their emptied state.  The replay's
+  // closing checkpoint is the first write after a restart.
+  for (const auto& [id, record] : records_) {
+    if (record.awaiting_restore) return;
+  }
   Checkpoint checkpoint = build_checkpoint();
   checkpoint.seq = ++checkpoint_seq_;
   last_checkpoint_ = serialize_checkpoint(checkpoint);

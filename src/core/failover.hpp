@@ -266,7 +266,9 @@ class FailoverManager {
 
   /// Takes a snapshot now: serializes, charges the ledger (bytes = payload
   /// size, its own trace), and stores it as the last checkpoint.  No-op
-  /// while the station is down (there is no one to write the disk).
+  /// while the station is down (there is no one to write the disk) and
+  /// while any record still awaits the post-restart replay (its image
+  /// would overwrite the last good one).
   void checkpoint_now();
   /// The last serialized snapshot ("" = none taken yet).  This is the only
   /// state that survives a crash; the sharded deployment ships it over the

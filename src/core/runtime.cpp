@@ -15,6 +15,29 @@ namespace pgrid::core {
 namespace {
 constexpr const char* kQueryContent = "pgrid/query";
 constexpr const char* kQueryResult = "pgrid/query-result";
+/// Below this many candidate models what_if_all evaluates serially even
+/// when parallelism allows more: with only a couple of trials the task
+/// handoffs and clone construction dominate and the parallel dispatch is
+/// pure overhead.
+constexpr std::size_t kWhatIfSerialThreshold = 3;
+
+/// The query's delivery budget in seconds (<= 0 = unlimited): an explicit
+/// COST TIME clause wins, else the reliability layer's default.  Budgets
+/// exist only with the reliable channel on.
+double deadline_budget_s(const RuntimeConfig& config,
+                         const query::Query& parsed) {
+  if (!config.reliability.enabled) return 0.0;
+  if (parsed.cost.metric == query::CostMetric::kTime && parsed.cost.limit > 0) {
+    return parsed.cost.limit;
+  }
+  return config.reliability.query_budget_s;
+}
+
+/// A continuous query cannot finish before its remaining epochs elapse —
+/// the floor the admission controller sheds against.
+double min_runtime_s(std::size_t epochs, double epoch_s) {
+  return epochs > 1 ? epoch_s * static_cast<double>(epochs - 1) : 0.0;
+}
 }  // namespace
 
 // Pending outcomes keyed by conversation id live outside the header to keep
@@ -30,10 +53,6 @@ PervasiveGridRuntime::PervasiveGridRuntime(RuntimeConfig config,
                                            common::ThreadPool* shared_pool)
     : config_(std::move(config)), rng_(config_.seed) {
   network_ = std::make_unique<net::Network>(sim_, rng_.fork());
-  // Before any node exists: enabling incremental epochs draws no rng and
-  // schedules nothing, so the kill switch (off by default) keeps every
-  // path byte-identical to the global-bump build.
-  network_->set_incremental_topology(config_.topology.incremental);
   sensors_ = std::make_unique<sensornet::SensorNetwork>(
       *network_, config_.sensors, rng_.fork());
   field_ = std::make_unique<sensornet::BuildingTemperatureField>(
@@ -44,11 +63,11 @@ PervasiveGridRuntime::PervasiveGridRuntime(RuntimeConfig config,
   }
   platform_ = std::make_unique<agent::AgentPlatform>(*network_);
   ontology_ = discovery::make_standard_ontology();
-  if (shared_pool != nullptr) {
-    shared_pool_ = shared_pool;
-  } else {
+  if (shared_pool == nullptr) {
     pool_ = std::make_unique<common::ThreadPool>(config_.pool_threads);
+    shared_pool = pool_.get();
   }
+  compute_pool_ = shared_pool;
   pending_ = std::make_unique<RuntimePending>();
 
   if (config_.reliability.enabled) {
@@ -283,28 +302,22 @@ void PervasiveGridRuntime::run_pipeline(
   }
   outcome->parsed = std::move(parsed).take();
   outcome->classification = classifier_.classify(outcome->parsed);
+  const bool continuous = outcome->classification.continuous;
+  const double epoch_s = outcome->parsed.epoch_duration_s.value_or(1.0);
+  const double budget_s = deadline_budget_s(config_, outcome->parsed);
 
   // Failover protection covers continuous queries (the standing state a
   // station crash erases).  Registration happens *before* admission so a
   // queued arrival is already checkpoint-visible: a crash while it waits
   // replays it instead of silently dropping it.
   std::uint64_t failover_qid = 0;
-  if (failover_ && outcome->classification.continuous) {
+  if (failover_ && continuous) {
     QueryCheckpoint meta;
     meta.text = text;
     meta.model = forced ? partition::to_string(*forced) : "-";
     meta.total_epochs = config_.continuous_epochs;
-    meta.epoch_s = outcome->parsed.epoch_duration_s.value_or(1.0);
-    if (reliable_ != nullptr) {
-      double seconds = config_.reliability.query_budget_s;
-      if (outcome->parsed.cost.metric == query::CostMetric::kTime &&
-          outcome->parsed.cost.limit > 0) {
-        seconds = outcome->parsed.cost.limit;
-      }
-      if (seconds > 0.0) {
-        meta.deadline_s = sim_.now().to_seconds() + seconds;
-      }
-    }
+    meta.epoch_s = epoch_s;
+    if (budget_s > 0.0) meta.deadline_s = sim_.now().to_seconds() + budget_s;
     failover_qid = failover_->register_query(std::move(meta));
   }
 
@@ -319,28 +332,15 @@ void PervasiveGridRuntime::run_pipeline(
   // event/rng behaviour to the disabled build.
   auto canonical = std::make_shared<const query::CanonicalQuery>(
       query::canonicalize(outcome->parsed, outcome->classification));
-  net::Budget budget = net::Budget::unlimited();
-  if (reliable_ != nullptr) {
-    double seconds = config_.reliability.query_budget_s;
-    if (outcome->parsed.cost.metric == query::CostMetric::kTime &&
-        outcome->parsed.cost.limit > 0) {
-      seconds = outcome->parsed.cost.limit;
-    }
-    if (seconds > 0.0) {
-      budget = net::Budget::until(sim_.now() + sim::SimTime::seconds(seconds));
-    }
-  }
-  // A continuous query cannot finish before its epochs elapse — the floor
-  // the admission controller sheds against.
-  double min_runtime_s = 0.0;
-  if (outcome->classification.continuous && config_.continuous_epochs > 1) {
-    min_runtime_s = outcome->parsed.epoch_duration_s.value_or(1.0) *
-                    static_cast<double>(config_.continuous_epochs - 1);
-  }
+  const net::Budget budget =
+      budget_s > 0.0
+          ? net::Budget::until(sim_.now() + sim::SimTime::seconds(budget_s))
+          : net::Budget::unlimited();
   auto done_shared =
       std::make_shared<std::function<void(QueryOutcome)>>(std::move(done));
   sharing_->admit(
-      *canonical, budget, min_runtime_s,
+      *canonical, budget,
+      continuous ? min_runtime_s(config_.continuous_epochs, epoch_s) : 0.0,
       /*proceed=*/
       [this, outcome, forced, canonical, done_shared, failover_qid] {
         // Completion frees the admission slot and drains the queue.
@@ -469,35 +469,10 @@ void PervasiveGridRuntime::dispatch_query(
       failover_->launch_segment(failover_qid, /*readmit=*/false);
       return;
     }
-    // Shared TAG tree path: a shareable continuous aggregate (unforced, or
-    // forced to the tree model sharing uses anyway) rides its group's
-    // single collection — one sensor transmission per epoch regardless of
-    // how many subscribers the canonical key has.
-    if (sharing_ && canonical && canonical->shareable &&
-        (!forced || *forced == partition::SolutionModel::kTreeAggregate) &&
-        sharing_->execute_shared(ctx, *canonical, config_.continuous_epochs,
-                                 per_epoch_observe, summarize)) {
-      outcome->shared = true;
-      outcome->model = partition::SolutionModel::kTreeAggregate;
-      outcome->estimate = decision_maker_.calibrated_estimate(
-          profile, inner, partition::SolutionModel::kTreeAggregate);
-      return;
-    }
-    if (forced) {
-      partition::execute_continuous_adaptive(
-          *ctx, outcome->parsed, outcome->classification,
-          config_.continuous_epochs,
-          [model = *forced](std::size_t) { return model; },
-          std::move(per_epoch_observe), std::move(summarize));
-      return;
-    }
-    partition::execute_continuous_adaptive(
-        *ctx, outcome->parsed, outcome->classification,
-        config_.continuous_epochs,
-        [this, inner, metric, profile](std::size_t) {
-          return decision_maker_.decide(inner, metric, profile);
-        },
-        std::move(per_epoch_observe), std::move(summarize));
+    launch_continuous(ctx, outcome->parsed, outcome->classification,
+                      canonical.get(), forced, profile,
+                      config_.continuous_epochs, std::move(per_epoch_observe),
+                      std::move(summarize), outcome.get());
     return;
   }
 
@@ -513,6 +488,51 @@ void PervasiveGridRuntime::dispatch_query(
         }
         finish();
       });
+}
+
+bool PervasiveGridRuntime::launch_continuous(
+    const std::shared_ptr<partition::ExecutionContext>& ctx,
+    const query::Query& query, const query::Classification& cls,
+    const query::CanonicalQuery* canonical,
+    std::optional<partition::SolutionModel> forced,
+    const partition::NetworkProfile& profile, std::size_t epochs,
+    partition::EpochObserver observe,
+    std::function<void(std::vector<partition::ActualCost>,
+                       std::vector<partition::SolutionModel>)>
+        done,
+    QueryOutcome* outcome, partition::AbortToken abort,
+    std::function<void()>* shared_cancel) {
+  constexpr auto kTree = partition::SolutionModel::kTreeAggregate;
+  const auto inner = cls.inner;
+  // Shared TAG tree path: a shareable continuous aggregate (unforced, or
+  // forced to the tree model sharing uses anyway) rides its group's
+  // single collection — one sensor transmission per epoch regardless of
+  // how many subscribers the canonical key has.
+  if (sharing_ && canonical != nullptr && canonical->shareable &&
+      (!forced || *forced == kTree) &&
+      sharing_->execute_shared(ctx, *canonical, epochs, observe, done,
+                               shared_cancel)) {
+    if (outcome != nullptr) {
+      outcome->shared = true;
+      outcome->model = kTree;
+      outcome->estimate =
+          decision_maker_.calibrated_estimate(profile, inner, kTree);
+    }
+    return true;
+  }
+  partition::ModelProvider choose;
+  if (forced) {
+    choose = [model = *forced](std::size_t) { return model; };
+  } else {
+    choose = [this, inner, metric = query.cost.metric,
+              profile](std::size_t) {
+      return decision_maker_.decide(inner, metric, profile);
+    };
+  }
+  partition::execute_continuous_adaptive(*ctx, query, cls, epochs,
+                                         std::move(choose), std::move(observe),
+                                         std::move(done), std::move(abort));
+  return false;
 }
 
 void PervasiveGridRuntime::run_failover_segment(std::uint64_t qid,
@@ -550,7 +570,13 @@ void PervasiveGridRuntime::run_failover_segment(std::uint64_t qid,
       execution_context());
   const auto profile = partition::profile_from(*ctx, cls);
   const auto inner = cls.inner;
-  const auto metric = query->cost.metric;
+  // Canonical form (pure): both the readmission and the shared-group launch
+  // key on it.
+  std::shared_ptr<const query::CanonicalQuery> canonical;
+  if (sharing_) {
+    canonical = std::make_shared<const query::CanonicalQuery>(
+        query::canonicalize(*query, cls));
+  }
 
   // Every accepted epoch commits under the generation fence *before* it
   // feeds the learner: a stale segment (crashed timeline, extracted query)
@@ -572,40 +598,14 @@ void PervasiveGridRuntime::run_failover_segment(std::uint64_t qid,
     failover_->segment_complete(qid, gen);
   };
 
-  auto execute = [this, ctx, query, cls, forced, remaining, observe,
-                  segment_done, qid, gen, outcome, inner, metric, profile] {
-    if (sharing_) {
-      const auto canonical = query::canonicalize(*query, cls);
-      if (canonical.shareable &&
-          (!forced || *forced == partition::SolutionModel::kTreeAggregate)) {
-        std::function<void()> cancel;
-        if (sharing_->execute_shared(ctx, canonical, remaining, observe,
-                                     segment_done, &cancel)) {
-          failover_->set_segment_cancel(qid, std::move(cancel));
-          if (outcome) {
-            outcome->shared = true;
-            outcome->model = partition::SolutionModel::kTreeAggregate;
-            outcome->estimate = decision_maker_.calibrated_estimate(
-                profile, inner, partition::SolutionModel::kTreeAggregate);
-          }
-          return;
-        }
-      }
+  auto execute = [this, ctx, query, cls, canonical, forced, remaining,
+                  observe, segment_done, qid, outcome, profile] {
+    std::function<void()> cancel;
+    if (launch_continuous(ctx, *query, cls, canonical.get(), forced, profile,
+                          remaining, observe, segment_done, outcome.get(),
+                          failover_->begin_segment(qid), &cancel)) {
+      failover_->set_segment_cancel(qid, std::move(cancel));
     }
-    const partition::AbortToken abort = failover_->begin_segment(qid);
-    if (forced) {
-      partition::execute_continuous_adaptive(
-          *ctx, *query, cls, remaining,
-          [model = *forced](std::size_t) { return model; }, observe,
-          segment_done, abort);
-      return;
-    }
-    partition::execute_continuous_adaptive(
-        *ctx, *query, cls, remaining,
-        [this, inner, metric, profile](std::size_t) {
-          return decision_maker_.decide(inner, metric, profile);
-        },
-        observe, segment_done, abort);
   };
 
   if (!readmit || !sharing_) {
@@ -616,15 +616,12 @@ void PervasiveGridRuntime::run_failover_segment(std::uint64_t qid,
   // station, so the segment re-enters admission control — coalescing onto
   // compatible live groups, queueing, or shedding under its original
   // deadline budget like any other arrival.
-  const auto canonical = query::canonicalize(*query, cls);
   const net::Budget budget =
       deadline_s > 0.0
           ? net::Budget::until(sim::SimTime::seconds(deadline_s))
           : net::Budget::unlimited();
-  const double min_runtime_s =
-      remaining > 1 ? epoch_s * static_cast<double>(remaining - 1) : 0.0;
   sharing_->admit(
-      canonical, budget, min_runtime_s,
+      *canonical, budget, min_runtime_s(remaining, epoch_s),
       /*proceed=*/[execute] { execute(); },
       /*shed=*/
       [this, qid, gen](const std::string&) {
@@ -711,24 +708,19 @@ QueryOutcome PervasiveGridRuntime::submit_and_run(
   return result;
 }
 
-QueryOutcome PervasiveGridRuntime::run_trial(const std::string& query_text,
-                                             partition::SolutionModel model,
-                                             common::ThreadPool* shared_pool) {
+QueryOutcome PervasiveGridRuntime::what_if(const std::string& query_text,
+                                           partition::SolutionModel model) {
   // A scratch deployment from the same config and seed mirrors this one's
   // topology exactly; the physical field is copied so the clone observes
   // the same world (fires included).  Trials must never touch the real
   // experience file: a clone that loaded (or on destruction overwrote) it
-  // would leak trial state into the durable learner.
+  // would leak trial state into the durable learner.  The clone borrows
+  // this runtime's compute pool (see the borrowing constructor).
   RuntimeConfig trial_config = config_;
   trial_config.failover.experience_path.clear();
-  PervasiveGridRuntime clone(std::move(trial_config), shared_pool);
+  PervasiveGridRuntime clone(std::move(trial_config), &compute_pool());
   *clone.field_ = *field_;
   return clone.submit_and_run(query_text, model);
-}
-
-QueryOutcome PervasiveGridRuntime::what_if(const std::string& query_text,
-                                           partition::SolutionModel model) {
-  return run_trial(query_text, model, nullptr);
 }
 
 std::vector<QueryOutcome> PervasiveGridRuntime::what_if_all(
@@ -756,7 +748,7 @@ std::vector<QueryOutcome> PervasiveGridRuntime::what_if_all(
   parallelism = std::min(parallelism, trials);
   // Serial fallback: with too few trials the dispatch overhead dominates,
   // and on a pool worker nested submission would run inline anyway.
-  if (trials < config_.what_if_serial_threshold || parallelism <= 1 ||
+  if (trials < kWhatIfSerialThreshold || parallelism <= 1 ||
       compute_pool().on_worker_thread()) {
     for (std::size_t i = 0; i < trials; ++i) {
       outcomes[i] = what_if(query_text, models[i]);
@@ -769,7 +761,7 @@ std::vector<QueryOutcome> PervasiveGridRuntime::what_if_all(
   // instead of spawning its own (the 0.64x regression: N trials x M fresh
   // threads oversubscribed the machine before any trial ran).  Borrowed
   // pools keep solver chunking — and so every floating-point result —
-  // bit-identical to the serial path (see the shared-pool constructor).
+  // bit-identical to the serial path (see the borrowing constructor).
   std::vector<std::future<void>> batches;
   batches.reserve(parallelism);
   for (std::size_t w = 0; w < parallelism; ++w) {
@@ -779,7 +771,7 @@ std::vector<QueryOutcome> PervasiveGridRuntime::what_if_all(
     batches.push_back(compute_pool().submit(
         [this, &query_text, &outcomes, &models, begin, end] {
           for (std::size_t i = begin; i < end; ++i) {
-            outcomes[i] = run_trial(query_text, models[i], &compute_pool());
+            outcomes[i] = what_if(query_text, models[i]);
           }
         }));
   }

@@ -80,11 +80,6 @@ struct RuntimeConfig {
   /// (own Simulator, own CostLedger), so any setting returns outcomes
   /// bit-identical to serial evaluation, in candidate order.
   std::size_t what_if_parallelism = 0;
-  /// Below this many candidate models what_if_all evaluates serially even
-  /// when parallelism allows more: with only a couple of trials the task
-  /// handoffs and clone construction dominate and the parallel dispatch is
-  /// pure overhead.
-  std::size_t what_if_serial_threshold = 3;
   /// SPMD world sharding (core/sharded.hpp).  A plain PervasiveGridRuntime
   /// ignores this block entirely — it configures how a ShardedDeployment
   /// built from this config partitions its regions across lockstep lanes.
@@ -102,10 +97,9 @@ struct RuntimeConfig {
   /// default; with `sharing.enabled` false the layer is never constructed
   /// and every submission path runs bit-identically to a build without it.
   SharingConfig sharing;
-  /// Incremental topology epochs (net/network.hpp TopologyConfig,
-  /// DESIGN.md S26): delta CSR patching + scoped route/plan invalidation
-  /// under mobility.  Off by default — the legacy global-bump discipline,
-  /// byte-identical to the pre-epoch build.
+  /// Unused: incremental topology epochs (DESIGN.md S26) are always on.
+  /// Nothing reads this block; it remains only until the perf harness
+  /// stops assigning its field.
   net::TopologyConfig topology;
   /// Base-station failover (core/failover.hpp): checkpointed continuous-
   /// query state, crash/restore replay, adoption and roaming handoff.  Off
@@ -183,9 +177,9 @@ class PervasiveGridRuntime {
   /// The paper's third component: "The simulator simulates the solution
   /// model for the query and returns the results."  Runs `query_text`
   /// under `model` on a scratch clone of this deployment (same seed, same
-  /// physical field) — real batteries, traffic counters and learner state
-  /// are untouched.  Use it to trial a model before committing, or to
-  /// label oracle training data.
+  /// physical field, borrowed compute pool) — real batteries, traffic
+  /// counters and learner state are untouched.  Use it to trial a model
+  /// before committing, or to label oracle training data.
   QueryOutcome what_if(const std::string& query_text,
                        partition::SolutionModel model);
 
@@ -234,22 +228,15 @@ class PervasiveGridRuntime {
   void reset_energy() { network_->reset_energy(); }
 
  private:
-  /// Shared-pool construction: the clone borrows `shared_pool` instead of
-  /// spawning its own workers.  Chunk boundaries in parallel_for_chunks are
-  /// a pure function of (n, pool size) and the borrowed pool was built from
-  /// the same config, so every floating-point result is bit-identical to a
-  /// clone that owns its pool — only the thread-spawn cost disappears.
+  /// What-if clone construction: the clone borrows `shared_pool` instead of
+  /// spawning its own workers (null = own a pool).  Chunk boundaries in
+  /// parallel_for_chunks are a pure function of (n, pool size) and the
+  /// borrowed pool was built from the same config, so every floating-point
+  /// result is bit-identical to a clone that owns its pool — only the
+  /// thread-spawn cost disappears.
   PervasiveGridRuntime(RuntimeConfig config, common::ThreadPool* shared_pool);
 
-  /// One what-if trial on a fresh clone; a non-null `shared_pool` is lent
-  /// to the clone (see the shared-pool constructor).
-  QueryOutcome run_trial(const std::string& query_text,
-                         partition::SolutionModel model,
-                         common::ThreadPool* shared_pool);
-
-  common::ThreadPool& compute_pool() {
-    return shared_pool_ != nullptr ? *shared_pool_ : *pool_;
-  }
+  common::ThreadPool& compute_pool() { return *compute_pool_; }
 
   void register_agents();
   void run_pipeline(const std::string& text,
@@ -263,6 +250,26 @@ class PervasiveGridRuntime {
                       std::shared_ptr<const query::CanonicalQuery> canonical,
                       std::function<void(QueryOutcome)> done,
                       std::uint64_t failover_qid = 0);
+  /// The one continuous-query launch, shared by first dispatch and failover
+  /// segments.  A shareable query (unforced, or forced to the tree model)
+  /// rides its shared TAG group when the sharing layer takes it: `outcome`,
+  /// when non-null, is stamped as shared, and `shared_cancel`, when
+  /// non-null, receives the subscription's detach hook.  Otherwise `epochs`
+  /// adaptive epochs run under the forced model or a per-epoch decision,
+  /// fenced by `abort`.  `done` must keep `ctx` alive.  Returns true when
+  /// the shared group took the query.
+  bool launch_continuous(
+      const std::shared_ptr<partition::ExecutionContext>& ctx,
+      const query::Query& query, const query::Classification& cls,
+      const query::CanonicalQuery* canonical,
+      std::optional<partition::SolutionModel> forced,
+      const partition::NetworkProfile& profile, std::size_t epochs,
+      partition::EpochObserver observe,
+      std::function<void(std::vector<partition::ActualCost>,
+                         std::vector<partition::SolutionModel>)>
+          done,
+      QueryOutcome* outcome, partition::AbortToken abort = nullptr,
+      std::function<void()>* shared_cancel = nullptr);
   /// FailoverManager segment runner: executes epochs [committed, total) of
   /// a protected query, re-deriving the plan from its serializable snapshot
   /// (the parse/classify/profile chain is pure).  `readmit` routes the
@@ -295,7 +302,7 @@ class PervasiveGridRuntime {
   query::QueryClassifier classifier_;
   partition::DecisionMaker decision_maker_;
   std::unique_ptr<common::ThreadPool> pool_;  ///< null when borrowing
-  common::ThreadPool* shared_pool_ = nullptr;
+  common::ThreadPool* compute_pool_ = nullptr;  ///< pool_ or the borrowed one
   std::unique_ptr<RuntimePending> pending_;
   /// Declared last: destroyed first, while the learner (whose experience
   /// the manager's destructor may persist) and the ledger are still alive.

@@ -290,7 +290,7 @@ std::uint64_t FlowModel::plan_key(NodeId src, NodeId dst,
 }
 
 void FlowModel::sync_plan_version() {
-  // Apply any pending incremental delta first, so the versions below are
+  // Apply any pending topology delta first, so the versions below are
   // final and the scoped delta (if any) reaches up to them.
   network_.sync_topology_caches();
   const std::uint64_t topo = network_.topology_version();

@@ -208,11 +208,11 @@ class FlowModel {
   /// Synchronizes the plan cache with the network's (topology, liveness)
   /// versions — the exact RouteCache discipline, so mobility/churn/chaos/
   /// death invalidate analytic state whenever they invalidate routes.
-  /// Under incremental epochs, when the network's last scoped delta covers
-  /// the whole version gap, only plans whose route touches a dirty row are
-  /// dropped (a plan is a pure function of its route nodes' state, and any
-  /// changed edge puts an endpoint row in the dirty set); otherwise the
-  /// legacy wholesale clear applies.
+  /// When the network's last scoped delta covers the whole version gap,
+  /// only plans whose route touches a dirty row are dropped (a plan is a
+  /// pure function of its route nodes' state, and any changed edge puts an
+  /// endpoint row in the dirty set); after a global epoch, or a gap the
+  /// delta does not cover, the cache clears wholesale.
   void sync_plan_version();
   const FlowPlan& plan_for(const std::vector<NodeId>& route,
                            std::uint64_t bytes);

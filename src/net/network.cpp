@@ -135,7 +135,7 @@ std::vector<NodeId> Network::neighbors_naive(NodeId id) const {
 }
 
 const TopologySnapshot& Network::topology_snapshot() const {
-  if (incremental_topology_) sync_topology_caches();
+  sync_topology_caches();
   if (snapshot_built_ && snapshot_.topology_version == topology_version_ &&
       snapshot_.liveness_version == liveness_version_) {
     return snapshot_;
@@ -166,9 +166,9 @@ const TopologySnapshot& Network::topology_snapshot() const {
 // ---------------------------------------------------------------------------
 // Incremental topology epochs (DESIGN.md S26).  Mutators accumulate the set
 // of adjacency rows a change can affect; the delta is applied lazily at the
-// next cache access.  Everything below is inert while the kill switch is
-// off: the hooks return immediately and the legacy version checks rebuild /
-// flush wholesale, byte-identical to the pre-epoch build.
+// next cache access.  A global epoch (add_node, wired-link add, fault
+// injector swap, reset_energy, an explicit bump, or a delta wider than n/2)
+// rebuilds the snapshot and clears the caches wholesale instead.
 
 void Network::begin_pending() const {
   if (pending_.active) return;
@@ -180,7 +180,6 @@ void Network::begin_pending() const {
 }
 
 void Network::note_scoped_change(NodeId id) const {
-  if (!incremental_topology_) return;
   begin_pending();
   if (pending_.global) return;
   // The rows a change at `id` can affect: `id` itself, every node in its
@@ -201,15 +200,13 @@ void Network::note_scoped_change(NodeId id) const {
 }
 
 void Network::note_global_change() const {
-  if (!incremental_topology_) return;
   begin_pending();
   pending_.global = true;
   pending_.nodes.clear();
 }
 
 void Network::sync_topology_caches() const {
-  if (!incremental_topology_ || !pending_.active) return;
-  apply_pending();
+  if (pending_.active) apply_pending();
 }
 
 void Network::apply_pending() const {
@@ -344,18 +341,6 @@ void Network::refresh_dirty_distance(const std::vector<NodeId>& dirty) const {
       }
     }
   }
-}
-
-void Network::set_incremental_topology(bool enabled) {
-  if (incremental_topology_ == enabled) return;
-  incremental_topology_ = enabled;
-  pending_.active = false;
-  pending_.global = false;
-  pending_.nodes.clear();
-  last_delta_.valid = false;
-  // Toggling changes which discipline downstream caches were filled
-  // under; bump so everything resynchronizes through the legacy path.
-  ++topology_version_;
 }
 
 void Network::bump_topology_version() {
@@ -703,12 +688,10 @@ void Network::set_wired_link_up(NodeId a, NodeId b, bool up) {
   if (w.up != up) {
     // A wired toggle changes exactly the two endpoint rows — no gather
     // needed, the link is not geometric.
-    if (incremental_topology_) {
-      begin_pending();
-      if (!pending_.global) {
-        pending_.nodes.push_back(a);
-        pending_.nodes.push_back(b);
-      }
+    begin_pending();
+    if (!pending_.global) {
+      pending_.nodes.push_back(a);
+      pending_.nodes.push_back(b);
     }
     w.up = up;
     ++topology_version_;

@@ -74,14 +74,9 @@ struct TopologyStats {
   std::uint64_t global_epochs = 0;     ///< pending deltas widened to a rebuild
 };
 
-/// Kill switch for incremental topology epochs (DESIGN.md S26).  Off (the
-/// default) keeps the legacy all-or-nothing discipline: any topology bump
-/// or battery death rebuilds the whole CSR snapshot and flushes the route
-/// and flow-plan caches wholesale — byte-identical to the pre-epoch build.
-/// On, mutations accumulate a dirty-row delta that is applied lazily at
-/// the next cache access: the snapshot is patched row-wise and only the
-/// cached routes/plans a change could affect are dropped.  Answers are
-/// bit-identical either way; only the work is scoped.
+/// Retired knob: incremental topology epochs (DESIGN.md S26) are the only
+/// discipline, so nothing reads `incremental`.  The field stays only until
+/// the perf harness stops assigning it.
 struct TopologyConfig {
   bool incremental = false;
 };
@@ -182,10 +177,10 @@ class Network {
   /// neighbors().
   std::vector<NodeId> neighbors_naive(NodeId id) const;
 
-  /// Flat CSR adjacency of the whole deployment, built lazily once per
-  /// (topology, liveness) version and shared by Dijkstra, SinkTree
-  /// construction and flooding.  Valid until the next topology bump or
-  /// battery death.
+  /// Flat CSR adjacency of the whole deployment at the current (topology,
+  /// liveness) version, shared by Dijkstra, SinkTree construction and
+  /// flooding.  Scoped mutations (moves, up/down, wired toggles, battery
+  /// deaths) are patched in row-wise on access; global epochs rebuild it.
   const TopologySnapshot& topology_snapshot() const;
 
   /// The deployment's shortest-path cache (see net::cached_shortest_path).
@@ -276,17 +271,10 @@ class Network {
   /// global epoch: the caller cannot name the affected rows.
   void bump_topology_version();
 
-  /// Enables/disables incremental topology epochs (TopologyConfig).  Off
-  /// is the legacy global-bump discipline; toggling bumps the topology
-  /// version so every downstream cache resynchronizes.
-  void set_incremental_topology(bool enabled);
-  bool incremental_topology() const { return incremental_topology_; }
-
   /// Applies any pending topology delta to the snapshot, route cache and
-  /// last_scoped_delta().  No-op when incremental epochs are off (the
-  /// legacy version checks handle everything) or nothing changed.  Called
-  /// by the cached-route and flow-plan paths before they consult their
-  /// caches; cheap enough to call speculatively.
+  /// last_scoped_delta().  No-op when nothing changed.  Called by the
+  /// cached-route and flow-plan paths before they consult their caches;
+  /// cheap enough to call speculatively.
   void sync_topology_caches() const;
 
   /// The most recent scoped epoch(s) applied, merged; invalid after a
@@ -348,9 +336,9 @@ class Network {
   /// Energy draw that bumps liveness_version_ on a death transition.
   bool consume_energy(Node& node, double joules);
 
-  /// Pending-delta accumulation (incremental epochs only; DESIGN.md S26).
-  /// Mutators call these BEFORE bumping a version, so the base versions
-  /// the delta advances from are captured exactly once per epoch.
+  /// Pending-delta accumulation (DESIGN.md S26).  Mutators call these
+  /// BEFORE bumping a version, so the base versions the delta advances
+  /// from are captured exactly once per epoch.
   void begin_pending() const;
   /// Marks the rows a change at `id` can affect dirty: the node itself,
   /// everything in its spatial gather block (any peer whose row lists `id`
@@ -395,7 +383,7 @@ class Network {
   mutable std::vector<NodeId> scratch_;  ///< candidate buffer (single-threaded)
   mutable TopologyStats topo_stats_;
 
-  // Incremental-epoch state (inert while incremental_topology_ is false).
+  // Incremental-epoch state.
   struct PendingDelta {
     bool active = false;  ///< a delta is accumulating since (from_*)
     bool global = false;  ///< widened: apply as a full rebuild + clear
@@ -403,7 +391,6 @@ class Network {
     std::uint64_t from_liveness = 0;
     std::vector<NodeId> nodes;  ///< dirty candidates (unsorted, duplicates ok)
   };
-  bool incremental_topology_ = false;
   mutable PendingDelta pending_;
   mutable ScopedDelta last_delta_;
   mutable std::vector<char> dirty_flag_;          ///< per-node dirty marks

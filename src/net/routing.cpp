@@ -14,6 +14,12 @@ constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 /// adjacency source so the snapshot-backed fast path and the naive oracle
 /// expand nodes identically: `for_each_edge(at, fn)` must invoke
 /// `fn(next, hop_distance)` in ascending-`next` order.
+///
+/// Every edge adds one hop and hops compare first, so a (cost, node) heap
+/// pops level by level, each level in ascending (distance, node) order.
+/// Sorting each level's batch reproduces that order, ties included, and
+/// dst's route is final once its level is reached.  The search state is
+/// thread-local and reused: a lookup allocates only its result.
 template <typename ForEachEdge>
 std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
                              ForEachEdge&& for_each_edge) {
@@ -24,26 +30,31 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
   if (src == dst) return {src};
 
   using Cost = std::pair<std::size_t, double>;
-  std::vector<Cost> best(n, {kUnreachable, 0.0});
-  std::vector<NodeId> prev(n, kInvalidNode);
-  using QueueEntry = std::pair<Cost, NodeId>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
+  using Entry = std::pair<double, NodeId>;  // (distance, node) in a level
+  thread_local std::vector<Cost> best;
+  thread_local std::vector<NodeId> prev;
+  thread_local std::vector<Entry> level, next;
+  best.assign(n, {kUnreachable, 0.0});
+  prev.assign(n, kInvalidNode);
   best[src] = {0, 0.0};
-  pq.push({{0, 0.0}, src});
+  level.assign(1, {0.0, src});
 
-  while (!pq.empty()) {
-    auto [cost, at] = pq.top();
-    pq.pop();
-    if (cost > best[at]) continue;
-    if (at == dst) break;
-    for_each_edge(at, [&](NodeId next, double d) {
-      Cost candidate{cost.first + 1, cost.second + d};
-      if (candidate < best[next]) {
-        best[next] = candidate;
-        prev[next] = at;
-        pq.push({candidate, next});
-      }
-    });
+  for (std::size_t hops = 0; !level.empty() && best[dst].first > hops;
+       ++hops) {
+    std::sort(level.begin(), level.end());
+    next.clear();
+    for (const auto& [dist, at] : level) {
+      if (Cost{hops, dist} > best[at]) continue;  // superseded entry
+      for_each_edge(at, [&](NodeId to, double d) {
+        const Cost candidate{hops + 1, dist + d};
+        if (candidate < best[to]) {
+          best[to] = candidate;
+          prev[to] = at;
+          next.push_back({candidate.second, to});
+        }
+      });
+    }
+    level.swap(next);
   }
 
   if (best[dst].first == kUnreachable) return {};
@@ -80,15 +91,14 @@ std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
 
 std::vector<NodeId> cached_shortest_path(const Network& network, NodeId src,
                                          NodeId dst) {
-  // Under incremental epochs any pending delta must be applied before the
-  // cache is consulted, so find()'s version check sees current versions
-  // and scoped survivors are served instead of flushed (no-op otherwise).
+  // Any pending delta must be applied before the cache is consulted, so
+  // find()'s version check sees current versions and scoped survivors are
+  // served instead of flushed.
   network.sync_topology_caches();
   RouteCache& cache = network.route_cache();
   const std::uint64_t topo = network.topology_version();
   const std::uint64_t live = network.liveness_version();
   if (const std::vector<NodeId>* hit = cache.find(src, dst, topo, live)) {
-    if (!network.incremental_topology()) return *hit;
     // Cheap insurance on the scoped-survivor path: re-check every hop of
     // the cached route against live connectivity.  The epoch rules make
     // survivors provably fresh, so a failure here marks an invalidation

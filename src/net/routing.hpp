@@ -34,10 +34,10 @@ std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
 /// shortest_path() through the network's LRU route cache, keyed by
 /// (src, dst) and valid for one (topology, liveness) version pair — chaos
 /// faults, churn, mobility and battery deaths all invalidate it through
-/// the version discipline.  Under incremental topology epochs
-/// (TopologyConfig::incremental) the pending delta is applied first and
-/// only the entries a change could affect were dropped, so mobility keeps
-/// the warm-hit path alive; surviving hits are additionally revalidated
+/// the version discipline.  Incremental topology epochs (DESIGN.md S26)
+/// apply the pending delta first and drop only the entries a change could
+/// affect, so mobility keeps the warm-hit path alive; global epochs clear
+/// the cache wholesale.  Surviving hits are additionally revalidated
 /// hop-by-hop against live connectivity before being served.  This is the
 /// hot entry point for the agent platform's envelope delivery and the
 /// sensornet unicast paths, where message bursts between the same

@@ -130,11 +130,11 @@ struct TopologySnapshot {
 };
 
 /// Bounded LRU cache of shortest-path results, keyed by (src, dst) and
-/// valid for exactly one (topology, liveness) version pair.  Under the
-/// legacy discipline any version change empties it wholesale; under
-/// incremental topology epochs (DESIGN.md S26) the network instead calls
-/// advance_epoch() with the set of dirty rows, and only the entries a
-/// change could possibly affect are dropped.  Failed lookups (empty
+/// valid for exactly one (topology, liveness) version pair.  On a scoped
+/// topology epoch (DESIGN.md S26) the network calls advance_epoch() with
+/// the set of dirty rows, and only the entries a change could possibly
+/// affect are dropped; after a global epoch the version mismatch empties
+/// it wholesale on the next lookup.  Failed lookups (empty
 /// routes) are cached too: "no route" is as deterministic as a route, and
 /// recomputing it is the most expensive Dijkstra of all.
 class RouteCache {
@@ -175,7 +175,7 @@ class RouteCache {
   ///  - a cached "no route" survives unless both endpoints can now reach
   ///    the dirty set (a path can only have appeared through changed rows).
   /// If the cache's versions do not match `from` (a missed epoch), the
-  /// whole cache is cleared — exactly the legacy discipline.
+  /// whole cache is cleared, as after a global epoch.
   static constexpr std::uint32_t kUnreachable =
       std::numeric_limits<std::uint32_t>::max();
   void advance_epoch(std::uint64_t from_topology, std::uint64_t from_liveness,

@@ -9,7 +9,8 @@
 //  - crash/restore: a kStationCrash erases station RAM, the last checkpoint
 //    replays on restart, elapsed epoch slots are accounted as coverage-
 //    graded losses, and the client's callback fires exactly once — and
-//    deterministically, bit for bit, across reruns;
+//    deterministically, bit for bit, across reruns; an arrival between
+//    restart and replay cannot overwrite the last good checkpoint;
 //  - the unprotected arm (checkpointing disabled) demonstrably loses the
 //    crashed station's queries;
 //  - shared groups re-admit through the sharing layer after a crash;
@@ -30,6 +31,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -213,6 +215,8 @@ constexpr const char* kContinuousQuery =
 
 /// Crash scenario on a single runtime: a kStationCrash downs the base
 /// station at `crash_at` for `down_for`, wired to the failover manager.
+/// With `arrival_at` set, a second copy of the query is submitted then; the
+/// result still describes the first one.
 struct CrashRun {
   core::QueryOutcome outcome;
   int done_count = 0;
@@ -220,7 +224,8 @@ struct CrashRun {
 };
 
 CrashRun run_crash_scenario(core::RuntimeConfig config, double crash_at,
-                            double down_for) {
+                            double down_for,
+                            std::optional<double> arrival_at = std::nullopt) {
   core::PervasiveGridRuntime runtime(config);
   sim::ChaosEngine chaos(runtime.network(), config.seed);
   if (runtime.failover() != nullptr) {
@@ -240,6 +245,12 @@ CrashRun run_crash_scenario(core::RuntimeConfig config, double crash_at,
     ++result.done_count;
     result.outcome = std::move(out);
   });
+  if (arrival_at) {
+    runtime.simulator().schedule_at(
+        sim::SimTime::seconds(*arrival_at), [&runtime] {
+          runtime.submit(kContinuousQuery, [](core::QueryOutcome) {});
+        });
+  }
   runtime.simulator().run();
   if (runtime.failover() != nullptr) {
     result.stats = runtime.failover()->stats();
@@ -382,6 +393,26 @@ TEST(FailoverCrash, CrashRestoreIsDeterministic) {
   EXPECT_EQ(a.outcome.coverage, b.outcome.coverage);
   EXPECT_EQ(a.stats.epochs_lost_in_gap, b.stats.epochs_lost_in_gap);
   EXPECT_EQ(a.stats.checkpoints, b.stats.checkpoints);
+}
+
+TEST(FailoverCrash, ArrivalInReplayWindowKeepsTheLastGoodCheckpoint) {
+  // The station is back at 5.4 s but replays only at 5.45 s
+  // (restart_replay_s).  An arrival in that window checkpoints on admit;
+  // that image must not replace the last good one with the crashed query's
+  // emptied epochs, or the replay would lose its whole committed prefix.
+  const auto alone = run_crash_scenario(failover_config(true), 3.4, 2.0);
+  const auto crowded =
+      run_crash_scenario(failover_config(true), 3.4, 2.0, /*arrival_at=*/5.41);
+  auto lost_epochs = [](const core::QueryOutcome& outcome) {
+    std::size_t lost = 0;
+    for (const auto& epoch : outcome.epochs) lost += epoch.ok ? 0 : 1;
+    return lost;
+  };
+  ASSERT_EQ(alone.done_count, 1);
+  ASSERT_EQ(crowded.done_count, 1);
+  ASSERT_EQ(crowded.outcome.epochs.size(), 10u);
+  EXPECT_EQ(lost_epochs(crowded.outcome), lost_epochs(alone.outcome));
+  EXPECT_EQ(crowded.outcome.coverage, alone.outcome.coverage);
 }
 
 TEST(FailoverCrash, UnprotectedArmLosesTheQuery) {

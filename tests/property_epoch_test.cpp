@@ -1,10 +1,10 @@
-// Property tests for incremental topology epochs (DESIGN.md S26): with the
-// kill switch ON, delta-patched CSR snapshots and scope-invalidated route
-// caches must stay bit-identical to the fresh-full-rebuild oracle under
-// seeded mobility, churn, battery death, partition-heal and full chaos —
-// and the whole discipline must be outcome-identical to the legacy
-// global-bump mode on the same seeds.  Local route repair
-// (ReliableConfig::repair_depth) rides along with its own splice tests.
+// Property tests for incremental topology epochs (DESIGN.md S26):
+// delta-patched CSR snapshots and scope-invalidated route caches must stay
+// bit-identical to the fresh-full-rebuild oracle under seeded mobility,
+// churn, battery death, partition-heal and full chaos — and outcome-
+// identical to a run that forces a global epoch after every mutation.
+// Local route repair (ReliableConfig::repair_depth) rides along with its
+// own splice tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,12 +103,10 @@ struct EpochCase {
 };
 
 /// Same mixed deployment as the topology property fixture (sensors + wifi
-/// base + wired backhaul pair), but with incremental epochs switched on
-/// before any traffic runs.
+/// base + wired backhaul pair).
 class EpochProperty : public ::testing::TestWithParam<EpochCase> {
  protected:
   EpochProperty() : net_(sim_, common::Rng(GetParam().seed)) {
-    net_.set_incremental_topology(true);
     NodeConfig config;
     config.kind = NodeKind::kSensor;
     config.radio = LinkClass::sensor_radio();
@@ -263,20 +261,26 @@ TEST_P(EpochProperty, ChaosMobilityChurnStayOracleIdenticalAndExactlyOnce) {
 }
 
 TEST_P(EpochProperty, OnAndOffModesAreOutcomeIdentical) {
-  // The kill switch must not change a single answer — only the work done
-  // to produce it.  Replay one seeded scenario (moves, churn, death,
-  // mid-run add_node, wired toggles) in both modes and require the full
-  // route/snapshot trace to match bit-for-bit.
+  // Scoped epochs must not change a single answer — only the work done to
+  // produce it.  Replay one seeded scenario (moves, churn, death, mid-run
+  // add_node, wired toggles) twice: once with scoping on, and once with it
+  // effectively off — the oracle arm calls bump_topology_version() after
+  // every mutation, widening each epoch to a fresh full rebuild and a
+  // wholesale cache clear.  The full route/snapshot trace must match
+  // bit-for-bit.
   struct Trace {
     std::vector<std::vector<NodeId>> routes;
     std::vector<std::uint32_t> offsets;
     std::vector<NodeId> adjacency;
     std::vector<double> hop_distance;
+    TopologyStats stats;  // oracle arm: proves every epoch rebuilt
   };
-  auto run_mode = [&](bool incremental) {
+  auto run_mode = [&](bool force_rebuild) {
     sim::Simulator sim;
     Network net(sim, common::Rng(GetParam().seed));
-    net.set_incremental_topology(incremental);
+    auto mutated = [&] {
+      if (force_rebuild) net.bump_topology_version();
+    };
     NodeConfig config;
     config.kind = NodeKind::kSensor;
     config.radio = LinkClass::sensor_radio();
@@ -311,10 +315,18 @@ TEST_P(EpochProperty, OnAndOffModesAreOutcomeIdentical) {
       const NodeId mover = ids[script.index(ids.size())];
       net.move_node(mover, Vec3{script.uniform(0.0, side_),
                                 script.uniform(0.0, side_), 0.0});
+      mutated();
       const NodeId toggled = ids[script.index(ids.size())];
       net.set_node_up(toggled, (step % 3) != 0);
-      if (step == 4) net.set_wired_link_up(g0, g1, false);
-      if (step == 7) net.set_wired_link_up(g0, g1, true);
+      mutated();
+      if (step == 4) {
+        net.set_wired_link_up(g0, g1, false);
+        mutated();
+      }
+      if (step == 7) {
+        net.set_wired_link_up(g0, g1, true);
+        mutated();
+      }
       if (step == 5) {
         NodeConfig late = config;
         late.pos = {side_ * 0.5, side_ * 0.5, 0.0};
@@ -324,6 +336,7 @@ TEST_P(EpochProperty, OnAndOffModesAreOutcomeIdentical) {
         const NodeId victim = ids.front();
         net.drain_energy(victim,
                          net.node(victim).energy.capacity() + 1.0);
+        mutated();
       }
       query_batch();
     }
@@ -331,18 +344,23 @@ TEST_P(EpochProperty, OnAndOffModesAreOutcomeIdentical) {
     trace.offsets = snapshot.offsets;
     trace.adjacency = snapshot.adjacency;
     trace.hop_distance = snapshot.hop_distance;
+    trace.stats = net.topology_stats();
     return trace;
   };
 
-  const Trace off = run_mode(false);
-  const Trace on = run_mode(true);
-  ASSERT_EQ(on.routes.size(), off.routes.size());
-  for (std::size_t i = 0; i < off.routes.size(); ++i) {
-    EXPECT_EQ(on.routes[i], off.routes[i]) << "route trace diverged at " << i;
+  const Trace oracle = run_mode(/*force_rebuild=*/true);
+  const Trace scoped = run_mode(/*force_rebuild=*/false);
+  EXPECT_EQ(oracle.stats.scoped_epochs, 0u)
+      << "the oracle arm must rebuild on every epoch";
+  EXPECT_EQ(oracle.stats.snapshot_patches, 0u);
+  ASSERT_EQ(scoped.routes.size(), oracle.routes.size());
+  for (std::size_t i = 0; i < oracle.routes.size(); ++i) {
+    EXPECT_EQ(scoped.routes[i], oracle.routes[i])
+        << "route trace diverged at " << i;
   }
-  EXPECT_EQ(on.offsets, off.offsets);
-  EXPECT_EQ(on.adjacency, off.adjacency);
-  EXPECT_EQ(on.hop_distance, off.hop_distance);
+  EXPECT_EQ(scoped.offsets, oracle.offsets);
+  EXPECT_EQ(scoped.adjacency, oracle.adjacency);
+  EXPECT_EQ(scoped.hop_distance, oracle.hop_distance);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -363,7 +381,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EpochScoping, SingleMovePatchesFewRowsAndKeepsDistantRoutes) {
   sim::Simulator sim;
   Network net(sim, common::Rng(9));
-  net.set_incremental_topology(true);
   NodeConfig config;
   config.kind = NodeKind::kSensor;
   config.radio = LinkClass::sensor_radio();

@@ -2,8 +2,11 @@
 // every topology, seed and deployment shape (parameterized sweeps).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <queue>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "net/network.hpp"
@@ -106,6 +109,52 @@ TEST_P(NetProperty, ShortestPathIsHopOptimalAndValid) {
     for (std::size_t i = 1; i < route.size(); ++i) {
       EXPECT_TRUE(net_.connected(route[i - 1], route[i]))
           << "consecutive hops must share a link";
+    }
+  }
+}
+
+TEST_P(NetProperty, ShortestPathMatchesHeapDijkstraTieForTie) {
+  // Reference: the textbook binary-heap Dijkstra over (hops, distance,
+  // node), relaxing on strict improvement.  shortest_path expands hop
+  // levels in sorted batches instead; the routes — including every tie
+  // between equal-length paths, which grid placement makes exact — must
+  // match it node for node.
+  auto reference = [this](NodeId src, NodeId dst) {
+    using Cost = std::pair<std::size_t, double>;
+    using Entry = std::pair<Cost, NodeId>;
+    std::vector<Cost> best(net_.size(), {SIZE_MAX, 0.0});
+    std::vector<NodeId> prev(net_.size(), kInvalidNode);
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+    best[src] = {0, 0.0};
+    pq.push({best[src], src});
+    while (!pq.empty()) {
+      const auto [cost, at] = pq.top();
+      pq.pop();
+      if (cost > best[at]) continue;
+      if (at == dst) break;
+      for (NodeId next : net_.neighbors(at)) {
+        const Cost candidate{
+            cost.first + 1,
+            cost.second + distance(net_.node(at).pos, net_.node(next).pos)};
+        if (candidate < best[next]) {
+          best[next] = candidate;
+          prev[next] = at;
+          pq.push({candidate, next});
+        }
+      }
+    }
+    std::vector<NodeId> route;
+    if (best[dst].first == SIZE_MAX) return route;
+    for (NodeId at = dst; at != kInvalidNode; at = prev[at]) {
+      route.insert(route.begin(), at);
+      if (at == src) break;
+    }
+    return route;
+  };
+  for (std::size_t s = 0; s < ids_.size(); s += 1 + ids_.size() / 5) {
+    for (auto dst : ids_) {
+      EXPECT_EQ(shortest_path(net_, ids_[s], dst), reference(ids_[s], dst))
+          << ids_[s] << " -> " << dst;
     }
   }
 }

@@ -147,30 +147,6 @@ TEST_F(WhatIfFixture, ParallelTrialsLeaveTheRealDeploymentUntouched) {
   EXPECT_EQ(rt.simulator().now(), now_before);
 }
 
-TEST_F(WhatIfFixture, SerialThresholdForcesSerialPathBitIdentically) {
-  // Raising the serial threshold above the candidate count must route
-  // what_if_all down the serial path — and since the parallel path is
-  // bit-identical by contract, the outcomes cannot change.
-  auto thresholded_config = scenario_config();
-  thresholded_config.pool_threads = 4;
-  thresholded_config.what_if_serial_threshold = 100;
-  auto batched_config = scenario_config();
-  batched_config.pool_threads = 4;
-  batched_config.what_if_serial_threshold = 0;
-  core::PervasiveGridRuntime thresholded(thresholded_config);
-  core::PervasiveGridRuntime batched(batched_config);
-
-  const std::string q = "SELECT AVG(temp) FROM sensors";
-  const auto serial = thresholded.what_if_all(q);
-  const auto parallel = batched.what_if_all(q);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].actual.value, parallel[i].actual.value);
-    EXPECT_EQ(serial[i].actual.energy_j, parallel[i].actual.energy_j);
-    EXPECT_EQ(serial[i].actual.data_bytes, parallel[i].actual.data_bytes);
-  }
-}
-
 TEST_F(WhatIfFixture, BatchedTrialsWithFewerWorkersThanCandidates) {
   // what_if_parallelism = 2 splits 4 candidates into two batches of two:
   // the batch boundaries must not leak into the outcomes.
