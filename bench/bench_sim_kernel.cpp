@@ -357,7 +357,6 @@ K2Result run_k2_lockstep(std::size_t regions, std::size_t chains,
   pgrid::sim::ShardingConfig cfg;
   cfg.shards = shards;
   cfg.window = SimTime::microseconds(4000);  // <= echo latency: no violations
-  cfg.parallel = pool != nullptr;
   pgrid::sim::LockstepWorld world(cfg, std::move(ptrs));
   K2Workload w;
   w.regions = regions;

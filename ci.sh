@@ -111,7 +111,16 @@ echo "=== perf harness: build, unit tests, one rep per workload ==="
 # own.  Its unit tests run under ctest; then every BENCHMARK.json workload
 # runs once at seed 1 with no time budget, so any of pgrid_perf's built-in
 # correctness gates (outcome digest stability, exactly-once completion,
-# ledger conservation) fails CI through the exit code.
+# ledger conservation) fails CI through the exit code.  Each run's
+# outcome_digest must also equal the seed-1 entry in the table below: a
+# refactor leaves the table alone, and a change that means to alter
+# behaviour updates it (and says so in CHANGES.md).
+declare -A SEED1_DIGEST=(
+  [study-building]=b62a7453f4991e29
+  [city-flow]=817ffbcb0a65dd0e
+  [shared-load]=770c4ca3f53f41c2
+  [mobile-failover]=6b351f588aa7ebfa
+)
 cmake -S perf -B out/perf-ci -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPGRID_WERROR=ON
 cmake --build out/perf-ci -j "${JOBS}" --target pgrid_perf perf_tests
@@ -119,7 +128,16 @@ ctest --test-dir out/perf-ci --output-on-failure -j "${JOBS}"
 for workload in $(python3 -c '
 import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
-  out/perf-ci/pgrid_perf --workload "${workload}" --seed 1 --reps 1 --seconds 0
+  report="$(out/perf-ci/pgrid_perf --workload "${workload}" --seed 1 \
+    --reps 1 --seconds 0)"
+  echo "${report}"
+  digest="$(awk '$1 == "outcome_digest" { print $2 }' <<< "${report}")"
+  expected="${SEED1_DIGEST[${workload}]:-<no entry>}"
+  if [[ "${digest}" != "${expected}" ]]; then
+    echo "perf: ${workload} seed-1 outcome_digest ${digest}, table says" \
+      "${expected}" >&2
+    exit 1
+  fi
 done
 
-echo "CI OK: both presets built, all tests passed, bench smoke clean, perf gates clean."
+echo "CI OK: both presets built, all tests passed, bench smoke clean, perf gates and digests clean."

@@ -33,7 +33,7 @@ Envelope make_reply(const Envelope& original, Performative performative,
   reply.trace = original.trace;
   // The requester's delivery deadline is end-to-end: the reply leg spends
   // whatever remains of it.  Without this the reply travels on an unlimited
-  // budget, which the reliable channel caps at max_reroutes — a reply to a
+  // budget, which acked delivery caps at max_reroutes — a reply to a
   // still-waiting requester could be dropped permanently during an outage
   // instead of re-routing until the requester's own timeout.
   reply.deadline_us = original.deadline_us;

@@ -54,7 +54,7 @@ struct Envelope {
   /// same ledger row.  Replies inherit it (see make_reply).
   std::uint64_t trace = 0;
   /// Absolute simulated-time deadline in microseconds (0 = none).  The
-  /// delivery budget: deputies stop retrying and the reliable channel stops
+  /// delivery budget: deputies stop retrying and acked delivery stops
   /// retransmitting once it passes.  Stamped by the platform's request()
   /// when the reliability layer is enabled.
   std::int64_t deadline_us = 0;

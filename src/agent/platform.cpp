@@ -93,10 +93,10 @@ void AgentPlatform::request(Envelope envelope, sim::SimTime timeout,
   const std::uint64_t token = next_token();
   envelope.reply_with = token;
   if (envelope.conversation_id == 0) envelope.conversation_id = token;
-  // With the reliability layer on, the request timeout doubles as the
-  // delivery budget: deputies and the acked channel stop retrying once the
-  // requester would have timed out anyway.
-  if (reliable_ && envelope.deadline_us == 0) {
+  // Under acked delivery the request timeout doubles as the delivery
+  // budget: deputies and the channel stop retrying once the requester would
+  // have timed out anyway.
+  if (network_.reliable_channel() != nullptr && envelope.deadline_us == 0) {
     envelope.deadline_us = (simulator().now() + timeout).us;
   }
   const AgentId requester = envelope.sender;
@@ -146,23 +146,7 @@ void AgentPlatform::route_and_transmit(net::NodeId src, net::NodeId dst,
                          [done = std::move(done)]() mutable { done(true); });
     return;
   }
-  if (reliable_) {
-    reliable_->unicast(src, dst, bytes, budget, std::move(done));
-    return;
-  }
-  // Envelope bursts between the same endpoints hit the route cache; any
-  // topology change or battery death invalidates it via the network's
-  // version discipline.
-  auto route = net::cached_shortest_path(network_, src, dst);
-  if (route.empty()) {
-    simulator().schedule(sim::SimTime::zero(),
-                         [done = std::move(done)]() mutable { done(false); });
-    return;
-  }
-  network_.send_route(route, bytes,
-                      [done = std::move(done)](bool ok, std::size_t) mutable {
-                        done(ok);
-                      });
+  network_.deliver(src, dst, bytes, budget, std::move(done));
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@
 #include "agent/envelope.hpp"
 #include "common/result.hpp"
 #include "net/network.hpp"
-#include "net/reliable.hpp"
 #include "sim/simulator.hpp"
 
 namespace pgrid::agent {
@@ -62,10 +61,9 @@ class AgentPlatform {
   /// Fresh token for reply correlation / conversation ids.
   std::uint64_t next_token() { return next_token_++; }
 
-  /// Routes a payload from src to dst over the current topology.  With a
-  /// reliable channel attached the transfer goes through acked per-hop
-  /// delivery bounded by `budget`; otherwise it is a single shortest-path
-  /// shot (budget ignored — legacy semantics).  Exposed for deputies.
+  /// Routes a payload from src to dst over the current topology through
+  /// Network::deliver, which picks the delivery discipline (`budget` bounds
+  /// acked delivery and is ignored by best effort).  Exposed for deputies.
   void route_and_transmit(net::NodeId src, net::NodeId dst,
                           std::uint64_t bytes, net::Budget budget,
                           DeliverCallback done);
@@ -74,14 +72,6 @@ class AgentPlatform {
     route_and_transmit(src, dst, bytes, net::Budget::unlimited(),
                        std::move(done));
   }
-
-  /// Attaches (or detaches, with nullptr) the end-to-end reliability layer.
-  /// When set, envelope transfers use acked delivery and request() stamps
-  /// delivery deadlines onto envelopes.
-  void set_reliable_channel(net::ReliableChannel* channel) {
-    reliable_ = channel;
-  }
-  net::ReliableChannel* reliable_channel() { return reliable_; }
 
   net::Network& network() { return network_; }
   sim::Simulator& simulator() { return network_.simulator(); }
@@ -108,7 +98,6 @@ class AgentPlatform {
   void dispatch(const Envelope& envelope);
 
   net::Network& network_;
-  net::ReliableChannel* reliable_ = nullptr;
   std::map<AgentId, Registration> agents_;
   std::map<std::uint64_t, PendingRequest> pending_;
   PlatformStats stats_;

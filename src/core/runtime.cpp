@@ -21,16 +21,13 @@ constexpr const char* kQueryResult = "pgrid/query-result";
 /// pure overhead.
 constexpr std::size_t kWhatIfSerialThreshold = 3;
 
-/// The query's delivery budget in seconds (<= 0 = unlimited): an explicit
-/// COST TIME clause wins, else the reliability layer's default.  Budgets
-/// exist only with the reliable channel on.
+/// The query's admission and failover deadline in seconds (<= 0 =
+/// unlimited).  The one place budgets are gated on the reliability layer:
+/// without it a query carries no deadline at all.
 double deadline_budget_s(const RuntimeConfig& config,
                          const query::Query& parsed) {
   if (!config.reliability.enabled) return 0.0;
-  if (parsed.cost.metric == query::CostMetric::kTime && parsed.cost.limit > 0) {
-    return parsed.cost.limit;
-  }
-  return config.reliability.query_budget_s;
+  return partition::query_budget_s(parsed, config.reliability.query_budget_s);
 }
 
 /// A continuous query cannot finish before its remaining epochs elapse —
@@ -77,8 +74,7 @@ PervasiveGridRuntime::PervasiveGridRuntime(RuntimeConfig config,
     reliable_ = std::make_unique<net::ReliableChannel>(
         *network_, config_.reliability.channel,
         common::Rng(config_.seed ^ 0x9E3779B97F4A7C15ULL));
-    platform_->set_reliable_channel(reliable_.get());
-    sensors_->set_reliable_channel(reliable_.get());
+    network_->set_reliable_channel(reliable_.get());
   }
 
   if (config_.flow.enabled) {
@@ -151,10 +147,7 @@ partition::ExecutionContext PervasiveGridRuntime::execution_context() {
       config_.sensors.floors > 1 ? config_.pde_depth_resolution : 1;
   ctx.ambient = config_.ambient_celsius;
   ctx.pool = &compute_pool();
-  if (reliable_) {
-    ctx.reliable = reliable_.get();
-    ctx.default_budget_s = config_.reliability.query_budget_s;
-  }
+  ctx.default_budget_s = config_.reliability.query_budget_s;
   return ctx;
 }
 

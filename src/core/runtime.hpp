@@ -21,6 +21,7 @@
 #include "core/sharing.hpp"
 #include "discovery/broker.hpp"
 #include "net/flow.hpp"
+#include "net/reliable.hpp"
 #include "grid/infrastructure.hpp"
 #include "partition/decision_maker.hpp"
 #include "partition/executor.hpp"

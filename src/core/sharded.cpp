@@ -89,7 +89,7 @@ ShardedDeployment::~ShardedDeployment() {
 
 common::ThreadPool* ShardedDeployment::lane_pool() {
   const sim::ShardingConfig& sharding = config_.base.sharding;
-  if (!sharding.parallel || sharding.shards <= 1) return nullptr;
+  if (sharding.shards <= 1) return nullptr;
   if (!lane_pool_) {
     lane_pool_ = std::make_unique<common::ThreadPool>(
         std::min(sharding.shards, regions_.size()));

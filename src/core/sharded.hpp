@@ -148,8 +148,7 @@ class ShardedDeployment {
 
   /// Runs lockstep windows until every region drains (run) or reaches
   /// `deadline` (run_until).  Lanes run on an internal pool when
-  /// base.sharding.parallel and shards > 1; results are bit-identical
-  /// either way.
+  /// shards > 1; results are bit-identical to a single lane.
   sim::LockstepStats run();
   sim::LockstepStats run_until(sim::SimTime deadline);
 

@@ -95,17 +95,8 @@ bool QuerySharing::execute_shared(
   sub.field = &ctx->field;
   partition::make_sensor_filter(*ctx, canonical.shared, sub.filter);
   sub.epoch_s = canonical.shared.epoch_duration_s.value_or(1.0);
-  // Per-round delivery budget, mirroring the executor's query_budget: an
-  // explicit COST TIME clause wins, else the context default; honoured only
-  // with the reliable channel attached.
-  if (ctx->reliable != nullptr) {
-    double seconds = ctx->default_budget_s;
-    if (canonical.shared.cost.metric == query::CostMetric::kTime &&
-        canonical.shared.cost.limit > 0) {
-      seconds = canonical.shared.cost.limit;
-    }
-    if (seconds > 0.0) sub.budget_s = seconds;
-  }
+  sub.budget_s =
+      partition::query_budget_s(canonical.shared, ctx->default_budget_s);
   sub.trace = sensors_.network().telemetry().current_trace();
 
   struct SubscriberState {

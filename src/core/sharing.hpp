@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "net/reliable.hpp"
+#include "net/network.hpp"
 #include "partition/executor.hpp"
 #include "query/canonical.hpp"
 #include "sensornet/shared_tree.hpp"

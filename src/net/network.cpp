@@ -7,6 +7,8 @@
 #include <span>
 
 #include "net/flow.hpp"
+#include "net/reliable.hpp"
+#include "net/routing.hpp"
 
 namespace pgrid::net {
 
@@ -532,6 +534,37 @@ void Network::send_route(const std::vector<NodeId>& route, std::uint64_t bytes,
   (*step)();
 }
 
+void Network::deliver(NodeId src, NodeId dst, std::uint64_t bytes,
+                      Budget budget, DeliveryCallback done,
+                      const std::vector<NodeId>* route) {
+  if (reliable_ != nullptr) {
+    reliable_->unicast(src, dst, bytes, budget, std::move(done));
+    return;
+  }
+  RouteCallback on_route = [done = std::move(done)](bool ok,
+                                                    std::size_t) mutable {
+    done(ok);
+  };
+  if (route != nullptr) {
+    send_route(*route, bytes, std::move(on_route));
+    return;
+  }
+  // Message bursts between the same endpoints hit the route cache;
+  // topology changes and battery deaths invalidate it via the version
+  // discipline.
+  send_route(cached_shortest_path(*this, src, dst), bytes,
+             std::move(on_route));
+}
+
+void Network::deliver_hop(NodeId from, NodeId to, std::uint64_t bytes,
+                          Budget budget, DeliveryCallback done) {
+  if (reliable_ != nullptr) {
+    reliable_->acked_transmit(from, to, bytes, budget, std::move(done));
+  } else {
+    transmit(from, to, bytes, std::move(done));
+  }
+}
+
 struct Network::SpreadState {
   std::uint64_t bytes = 0;
   std::size_t fanout = 0;  // 0 = flood (all neighbours)
@@ -597,30 +630,20 @@ void Network::spread_from(const std::shared_ptr<SpreadState>& state,
 
 void Network::flood(NodeId src, std::uint64_t bytes, VisitCallback on_visit,
                     DoneCallback done) {
-  auto state = std::make_shared<SpreadState>();
-  state->bytes = bytes;
-  state->fanout = 0;
-  state->visited.assign(nodes_.size(), false);
-  state->on_visit = std::move(on_visit);
-  state->done = std::move(done);
-  if (!alive(src)) {
-    sim_.schedule(sim::SimTime::zero(), [state] {
-      if (state->done) state->done(0);
-    });
-    return;
-  }
-  state->visited[src] = true;
-  state->reached = 1;
-  state->span.emplace(ledger_, telemetry::Subsystem::kWireless);
-  if (state->on_visit) state->on_visit(src);
-  spread_from(state, src);
+  spread(src, bytes, 0, std::move(on_visit), std::move(done));
 }
 
 void Network::gossip(NodeId src, std::uint64_t bytes, std::size_t fanout,
                      VisitCallback on_visit, DoneCallback done) {
+  spread(src, bytes, std::max<std::size_t>(1, fanout), std::move(on_visit),
+         std::move(done));
+}
+
+void Network::spread(NodeId src, std::uint64_t bytes, std::size_t fanout,
+                     VisitCallback on_visit, DoneCallback done) {
   auto state = std::make_shared<SpreadState>();
   state->bytes = bytes;
-  state->fanout = std::max<std::size_t>(1, fanout);
+  state->fanout = fanout;
   state->visited.assign(nodes_.size(), false);
   state->on_visit = std::move(on_visit);
   state->done = std::move(done);

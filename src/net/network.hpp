@@ -29,6 +29,7 @@
 namespace pgrid::net {
 
 class FlowModel;
+class ReliableChannel;
 
 /// Coarse role of a node; upper layers attach richer metadata.
 enum class NodeKind { kSensor, kBaseStation, kHandheld, kGrid, kGeneric };
@@ -93,6 +94,38 @@ struct ScopedDelta {
   std::uint64_t to_topology = 0;
   std::uint64_t to_liveness = 0;
   std::vector<NodeId> dirty;  ///< sorted, deduplicated
+};
+
+/// A deadline budget: the absolute simulated time by which the work it
+/// governs must finish.  Passing the same Budget down a causal chain is the
+/// "decrement": every layer sees the remaining time shrink as now advances.
+struct Budget {
+  sim::SimTime deadline{std::numeric_limits<std::int64_t>::max()};
+
+  static constexpr Budget unlimited() { return Budget{}; }
+  static constexpr Budget until(sim::SimTime when) { return Budget{when}; }
+
+  constexpr bool bounded() const {
+    return deadline.us != std::numeric_limits<std::int64_t>::max();
+  }
+  constexpr bool expired(sim::SimTime now) const {
+    return bounded() && now >= deadline;
+  }
+  /// Remaining span (clamped at zero); unbounded budgets report the max.
+  constexpr sim::SimTime remaining(sim::SimTime now) const {
+    if (!bounded()) return deadline;
+    return now >= deadline ? sim::SimTime::zero() : deadline - now;
+  }
+  /// The tighter of two budgets.
+  constexpr Budget tightened(Budget other) const {
+    return deadline <= other.deadline ? *this : other;
+  }
+  /// Clamps a relative timeout so it never extends past the deadline.
+  constexpr sim::SimTime clamp(sim::SimTime now, sim::SimTime span) const {
+    if (!bounded()) return span;
+    const sim::SimTime left = remaining(now);
+    return span <= left ? span : left;
+  }
 };
 
 /// Aggregate traffic/energy counters for one experiment run.
@@ -201,6 +234,22 @@ class Network {
   void send_route(const std::vector<NodeId>& route, std::uint64_t bytes,
                   RouteCallback cb);
 
+  /// End-to-end transfer src -> dst under the deployment's delivery
+  /// discipline; the one place that chooses it.  With a reliable channel
+  /// attached this is ReliableChannel::unicast: acked per hop, bounded by
+  /// `budget`, routing and re-routing itself (`route` is ignored).
+  /// Without one it is a best-effort send_route along `route`, or along
+  /// cached_shortest_path(src, dst) when `route` is null, and `budget` is
+  /// ignored.  An empty route fails on the next event.
+  void deliver(NodeId src, NodeId dst, std::uint64_t bytes, Budget budget,
+               DeliveryCallback done,
+               const std::vector<NodeId>* route = nullptr);
+
+  /// Single-hop counterpart of deliver(): ReliableChannel::acked_transmit
+  /// with a channel attached, transmit() without one.
+  void deliver_hop(NodeId from, NodeId to, std::uint64_t bytes, Budget budget,
+                   DeliveryCallback done);
+
   /// Flooding dissemination: every reached node rebroadcasts once.
   /// `on_visit` fires per reached node (including src); `done` fires when the
   /// flood quiesces with the count of reached nodes.
@@ -258,6 +307,12 @@ class Network {
   /// tier byte-for-byte unchanged.  Non-owning; the runtime owns the model.
   void set_flow_model(FlowModel* model) { flow_model_ = model; }
   FlowModel* flow_model() const { return flow_model_; }
+
+  /// Attaches (or detaches, with nullptr) the end-to-end reliability layer
+  /// (net/reliable.hpp) behind deliver() and deliver_hop().  Non-owning;
+  /// the runtime owns the channel.
+  void set_reliable_channel(ReliableChannel* channel) { reliable_ = channel; }
+  ReliableChannel* reliable_channel() const { return reliable_; }
 
   /// Books one flow-level cross-region backhaul completion: the sharded
   /// deployment's barrier-exchange transfers land here so
@@ -329,6 +384,10 @@ class Network {
   }
 
   const WiredLink* find_wired(NodeId a, NodeId b) const;
+  /// Shared entry point of flood() (fanout 0 = every neighbour) and
+  /// gossip().
+  void spread(NodeId src, std::uint64_t bytes, std::size_t fanout,
+              VisitCallback on_visit, DoneCallback done);
   void spread_from(const std::shared_ptr<SpreadState>& state, NodeId at);
   /// Candidate gathering + exact filtering behind neighbors() and the
   /// snapshot build; appends the sorted neighbour set of `id` to `out`.
@@ -375,6 +434,7 @@ class Network {
   FaultInjector* fault_injector_ = nullptr;
   const ShardMap* shard_map_ = nullptr;
   FlowModel* flow_model_ = nullptr;
+  ReliableChannel* reliable_ = nullptr;
 
   // Acceleration state: logically caches, so mutable behind const queries.
   mutable TopologySnapshot snapshot_;

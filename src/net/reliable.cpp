@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "net/flow.hpp"
@@ -269,8 +270,12 @@ void ReliableChannel::finish(const std::shared_ptr<Transfer>& t,
 }
 
 bool ReliableChannel::accept(const std::shared_ptr<Transfer>& t, NodeId node) {
-  const std::uint64_t key = (t->seq << 32) | node;
-  return seen_.insert(key).second;
+  if (std::find(t->accepted.begin(), t->accepted.end(), node) !=
+      t->accepted.end()) {
+    return false;
+  }
+  t->accepted.push_back(node);
+  return true;
 }
 
 sim::SimTime ReliableChannel::backoff_delay(std::size_t attempt) {

@@ -10,14 +10,17 @@
 //
 //   - ReliableChannel: per-hop data/ACK cycles with exponential backoff and
 //     deterministic seeded jitter, a bounded in-flight window per endpoint
-//     pair, duplicate suppression by (sequence, receiver), and breaker-aware
-//     re-routing around failing links.  Every retransmission is charged to
-//     the ledger under the originating trace (the kernel propagates the
-//     trace along the causal event chain).
-//   - Budget: an absolute deadline carried down the causal chain (executor
-//     -> composition -> agents -> sensornet), so retries and re-discovery
-//     stop the moment the budget is blown instead of burning energy past
-//     the point of usefulness.
+//     pair, duplicate suppression per transfer (each transfer remembers the
+//     receivers that already accepted it), and breaker-aware re-routing
+//     around failing links.  Every retransmission is charged to the ledger
+//     under the originating trace (the kernel propagates the trace along
+//     the causal event chain).  Attached to a Network, it is what
+//     Network::deliver and deliver_hop run; upper layers never call it
+//     directly.
+//   - Budget (net/network.hpp): an absolute deadline carried down the
+//     causal chain (executor -> composition -> agents -> sensornet), so
+//     retries and re-discovery stop the moment the budget is blown instead
+//     of burning energy past the point of usefulness.
 //   - BreakerRegistry: circuit breakers keyed on a link or a provider.
 //     Repeated failures open the breaker; while open, traffic short-circuits
 //     (re-routes or re-binds instead of hammering the dead resource); a
@@ -29,10 +32,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,38 +41,6 @@
 #include "net/network.hpp"
 
 namespace pgrid::net {
-
-/// A deadline budget: the absolute simulated time by which the work it
-/// governs must finish.  Passing the same Budget down a causal chain is the
-/// "decrement": every layer sees the remaining time shrink as now advances.
-struct Budget {
-  sim::SimTime deadline{std::numeric_limits<std::int64_t>::max()};
-
-  static constexpr Budget unlimited() { return Budget{}; }
-  static constexpr Budget until(sim::SimTime when) { return Budget{when}; }
-
-  constexpr bool bounded() const {
-    return deadline.us != std::numeric_limits<std::int64_t>::max();
-  }
-  constexpr bool expired(sim::SimTime now) const {
-    return bounded() && now >= deadline;
-  }
-  /// Remaining span (clamped at zero); unbounded budgets report the max.
-  constexpr sim::SimTime remaining(sim::SimTime now) const {
-    if (!bounded()) return deadline;
-    return now >= deadline ? sim::SimTime::zero() : deadline - now;
-  }
-  /// The tighter of two budgets.
-  constexpr Budget tightened(Budget other) const {
-    return deadline <= other.deadline ? *this : other;
-  }
-  /// Clamps a relative timeout so it never extends past the deadline.
-  constexpr sim::SimTime clamp(sim::SimTime now, sim::SimTime span) const {
-    if (!bounded()) return span;
-    const sim::SimTime left = remaining(now);
-    return span <= left ? span : left;
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Circuit breakers
@@ -326,6 +295,9 @@ class ReliableChannel {
     /// Links currently held packet-forced in the flow model (flow traffic
     /// must not skim links whose ACK/retransmit semantics are in flight).
     std::vector<NodeId> forced_route;
+    /// Receivers that already accepted the payload (duplicate suppression
+    /// lives and dies with the transfer).
+    std::vector<NodeId> accepted;
   };
 
   struct PairState {
@@ -344,7 +316,8 @@ class ReliableChannel {
   /// overlapping transfers compose; re-marking first releases the old route.
   void mark_route(const std::shared_ptr<Transfer>& t);
   void unmark_route(const std::shared_ptr<Transfer>& t);
-  /// First acceptance of `seq` at `node`?  (False => duplicate, re-ACK only.)
+  /// First acceptance of the transfer at `node`?  (False => duplicate,
+  /// re-ACK only.)
   bool accept(const std::shared_ptr<Transfer>& t, NodeId node);
   sim::SimTime backoff_delay(std::size_t attempt);
   /// Min-hop BFS over the topology snapshot, skipping links whose breaker
@@ -367,8 +340,6 @@ class ReliableChannel {
   ReliableStats stats_;
   DeliveryProbe probe_;
   std::uint64_t next_seq_ = 1;
-  /// (seq << 32) | receiver: payloads already accepted there.
-  std::unordered_set<std::uint64_t> seen_;
   std::map<std::uint64_t, PairState> pairs_;
 };
 

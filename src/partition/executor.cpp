@@ -17,16 +17,10 @@ std::size_t effective_clusters(const ExecutionContext& context) {
       std::sqrt(static_cast<double>(context.sensors.sensors().size()))));
 }
 
-/// Delivery budget for one epoch of `query`: an explicit COST TIME clause
-/// wins, else the context default.  Unlimited without the reliability layer
-/// (legacy paths ignore budgets anyway) or when no bound is configured.
+/// Delivery budget for one epoch of `query`, starting now.
 net::Budget query_budget(ExecutionContext& context,
                          const query::Query& query) {
-  if (context.reliable == nullptr) return net::Budget::unlimited();
-  double seconds = context.default_budget_s;
-  if (query.cost.metric == query::CostMetric::kTime && query.cost.limit > 0) {
-    seconds = query.cost.limit;
-  }
+  const double seconds = query_budget_s(query, context.default_budget_s);
   if (seconds <= 0.0) return net::Budget::unlimited();
   return net::Budget::until(context.sensors.network().simulator().now() +
                             sim::SimTime::seconds(seconds));
@@ -498,6 +492,13 @@ void execute_continuous_adaptive(
         });
   };
   (*run_epoch)(0);
+}
+
+double query_budget_s(const query::Query& query, double default_s) {
+  if (query.cost.metric == query::CostMetric::kTime && query.cost.limit > 0) {
+    return query.cost.limit;
+  }
+  return default_s;
 }
 
 NetworkProfile profile_from(ExecutionContext& context,

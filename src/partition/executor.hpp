@@ -16,7 +16,6 @@
 #include "common/thread_pool.hpp"
 #include "grid/infrastructure.hpp"
 #include "grid/temperature.hpp"
-#include "net/reliable.hpp"
 #include "partition/cost_model.hpp"
 #include "partition/models.hpp"
 #include "query/classifier.hpp"
@@ -42,13 +41,9 @@ struct ExecutionContext {
   double ambient = 20.0;
   grid::SolverKind solver = grid::SolverKind::kCg;
   common::ThreadPool* pool = nullptr;
-  /// Reliability layer (null = legacy best-effort).  When set, collection
-  /// rounds run over acked delivery and are bounded by the query's deadline
-  /// budget.
-  net::ReliableChannel* reliable = nullptr;
   /// Default per-query delivery budget in seconds when the query carries no
-  /// COST TIME clause (0 = unlimited).  Only honoured when `reliable` is
-  /// set.
+  /// COST TIME clause (0 = unlimited).  Collection rounds hand the budget to
+  /// Network::deliver, which honours it only under acked delivery.
   double default_budget_s = 0.0;
 };
 
@@ -129,6 +124,11 @@ void execute_continuous_adaptive(
 /// group with exactly the executor's qualification semantics.
 bool make_sensor_filter(ExecutionContext& context, const query::Query& query,
                         sensornet::SensorNetwork::SensorFilter& out);
+
+/// A query's delivery budget in seconds (<= 0 = unlimited): an explicit
+/// COST TIME clause wins, else `default_s`.  The one budget rule, shared by
+/// the executor, the sharing layer and the runtime's admission deadline.
+double query_budget_s(const query::Query& query, double default_s);
 
 /// Builds the estimator profile from live context (topology depths, grid
 /// speed, query compute demand).

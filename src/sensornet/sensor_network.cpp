@@ -172,21 +172,12 @@ void SensorNetwork::collect_all_to_base(const ScalarField& field,
       --round->outstanding;
       finish_round(round);
     };
-    if (reliable_) {
-      // The channel routes (and re-routes) itself; no tree precheck.
-      ++round->outstanding;
-      reliable_->unicast(sensor_id, base_, config_.sample_bytes, budget,
-                         std::move(complete));
-      continue;
-    }
-    auto route = routing_tree.route_to_sink(sensor);
-    if (route.empty()) continue;  // disconnected; counted as missing
+    // Best effort follows the sink tree (its BFS routes, not the unicast
+    // Dijkstra path); a disconnected sensor fails and counts as missing.
+    const auto route = routing_tree.route_to_sink(sensor);
     ++round->outstanding;
-    network_.send_route(route, config_.sample_bytes,
-                        [complete = std::move(complete)](bool ok,
-                                                         std::size_t) mutable {
-                          complete(ok);
-                        });
+    network_.deliver(sensor_id, base_, config_.sample_bytes, budget,
+                     std::move(complete), &route);
   }
   if (round->outstanding == 0) {
     network_.simulator().schedule(sim::SimTime::zero(),
@@ -199,11 +190,12 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
                                            SensorFilter filter,
                                            net::Budget budget) {
   // Fidelity dispatch: with a flow model installed and every tree edge
-  // eligible, the whole epoch resolves analytically in one event.  The
-  // reliable channel keeps the packet path (acked per-hop semantics are
-  // exactly what the analytic tier must not approximate), as does any
-  // tree with a packet-forced or packet-fidelity edge.
-  if (reliable_ == nullptr && network_.flow_model() != nullptr) {
+  // eligible, the whole epoch resolves analytically in one event.  Acked
+  // delivery keeps the packet path (per-hop ACK semantics are exactly what
+  // the analytic tier must not approximate), as does any tree with a
+  // packet-forced or packet-fidelity edge.
+  if (network_.reliable_channel() == nullptr &&
+      network_.flow_model() != nullptr) {
     net::FlowModel& flow = *network_.flow_model();
     if (flow.tree_eligible(tree())) {
       collect_tree_flow(field, std::move(done), std::move(filter));
@@ -288,15 +280,10 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
         }
         advance();
       };
-      if (reliable_) {
-        // Parent hops become acked transfers: a lost partial state is
-        // retransmitted instead of silently shrinking the subtree.
-        reliable_->acked_transmit(id, parent, config_.state_bytes, budget,
-                                  std::move(complete));
-      } else {
-        network_.transmit(id, parent, config_.state_bytes,
-                          std::move(complete));
-      }
+      // Under acked delivery a lost partial state is retransmitted instead
+      // of silently shrinking the subtree.
+      network_.deliver_hop(id, parent, config_.state_bytes, budget,
+                           std::move(complete));
     }
   };
   if (deepest == 0) {
@@ -454,19 +441,8 @@ void SensorNetwork::collect_clustered(const ScalarField& field, std::size_t k,
         }
         advance();
       };
-      if (reliable_) {
-        reliable_->unicast(cluster.head, base_, config_.state_bytes, budget,
-                           std::move(complete));
-        continue;
-      }
-      auto route = net::cached_shortest_path(network_, cluster.head, base_);
-      if (route.empty()) {
-        network_.simulator().schedule(sim::SimTime::zero(), advance);
-        continue;
-      }
-      network_.send_route(route, config_.state_bytes,
-                          [complete = std::move(complete)](
-                              bool ok, std::size_t) mutable { complete(ok); });
+      network_.deliver(cluster.head, base_, config_.state_bytes, budget,
+                       std::move(complete));
     }
   };
 
@@ -489,18 +465,9 @@ void SensorNetwork::collect_clustered(const ScalarField& field, std::size_t k,
         }
         if (--*phase1_pending == 0) phase2();
       };
-      if (reliable_) {
-        ++*phase1_pending;
-        reliable_->unicast(member, cluster.head, config_.sample_bytes, budget,
-                           std::move(complete));
-        continue;
-      }
-      auto route = net::cached_shortest_path(network_, member, cluster.head);
-      if (route.empty()) continue;
       ++*phase1_pending;
-      network_.send_route(route, config_.sample_bytes,
-                          [complete = std::move(complete)](
-                              bool ok, std::size_t) mutable { complete(ok); });
+      network_.deliver(member, cluster.head, config_.sample_bytes, budget,
+                       std::move(complete));
     }
   }
   if (*phase1_pending == 0) {
@@ -543,48 +510,20 @@ void SensorNetwork::read_sensor(net::NodeId sensor, const ScalarField& field,
     done(result);
   };
 
-  if (reliable_) {
-    // Acked request down to the sensor, acked reading back up; both legs
-    // share the round's budget so the whole round trip respects it.
-    reliable_->unicast(
-        base_, sensor, kRequestBytes, budget,
-        [this, sensor, &field, finish, budget](bool ok) {
-          if (!ok) {
-            finish(false, 0.0);
-            return;
-          }
-          const double value = sample(sensor, field, network_.simulator().now());
-          reliable_->unicast(sensor, base_, config_.sample_bytes, budget,
-                             [finish, value](bool ok_up) {
-                               finish(ok_up, ok_up ? value : 0.0);
-                             });
-        });
-    return;
-  }
-  auto down = net::cached_shortest_path(network_, base_, sensor);
-  if (down.empty()) {
-    network_.simulator().schedule(
-        sim::SimTime::zero(), [finish] { finish(false, 0.0); });
-    return;
-  }
-  network_.send_route(
-      down, kRequestBytes,
-      [this, sensor, &field, finish](bool ok, std::size_t) {
+  // Request down to the sensor, reading back up; under acked delivery both
+  // legs share the round's budget so the whole round trip respects it.
+  network_.deliver(
+      base_, sensor, kRequestBytes, budget,
+      [this, sensor, &field, finish, budget](bool ok) {
         if (!ok) {
           finish(false, 0.0);
           return;
         }
-        const double value =
-            sample(sensor, field, network_.simulator().now());
-        auto up = net::cached_shortest_path(network_, sensor, base_);
-        if (up.empty()) {
-          finish(false, 0.0);
-          return;
-        }
-        network_.send_route(up, config_.sample_bytes,
-                            [finish, value](bool ok_up, std::size_t) {
-                              finish(ok_up, ok_up ? value : 0.0);
-                            });
+        const double value = sample(sensor, field, network_.simulator().now());
+        network_.deliver(sensor, base_, config_.sample_bytes, budget,
+                         [finish, value](bool ok_up) {
+                           finish(ok_up, ok_up ? value : 0.0);
+                         });
       });
 }
 

@@ -21,7 +21,6 @@
 
 #include "common/rng.hpp"
 #include "net/network.hpp"
-#include "net/reliable.hpp"
 #include "net/routing.hpp"
 #include "sensornet/aggregation.hpp"
 #include "sensornet/clustering.hpp"
@@ -115,15 +114,6 @@ class SensorNetwork {
   net::Network& network() { return network_; }
   const SensorNetworkConfig& config() const { return config_; }
 
-  /// Attaches (or detaches, with nullptr) the reliable channel.  When set,
-  /// every collection transfer goes through acked per-hop delivery bounded
-  /// by the round's budget; when null the legacy best-effort paths run
-  /// byte-for-byte unchanged.
-  void set_reliable_channel(net::ReliableChannel* channel) {
-    reliable_ = channel;
-  }
-  net::ReliableChannel* reliable_channel() { return reliable_; }
-
   /// Noisy sample of the field at a sensor's position.
   double sample(net::NodeId sensor, const ScalarField& field, sim::SimTime t);
 
@@ -146,8 +136,9 @@ class SensorNetwork {
   // --- solution models -----------------------------------------------------
 
   /// Every sensor ships its raw reading to the base over the routing tree.
-  /// `budget` bounds the round's retransmissions when the reliable channel
-  /// is attached (ignored otherwise, as for all collect_* overloads).
+  /// Every transfer goes through Network::deliver / deliver_hop, so
+  /// `budget` bounds the round's retransmissions under acked delivery and
+  /// is ignored under best effort (as for all collect_* overloads).
   void collect_all_to_base(const ScalarField& field, CollectCallback done,
                            SensorFilter filter = nullptr,
                            net::Budget budget = net::Budget::unlimited());
@@ -186,8 +177,8 @@ class SensorNetwork {
   /// charges resolve synchronously, level durations come from the
   /// expected-max-attempts order statistic, and ONE simulator event delivers
   /// the round — the collection path that makes 100k-sensor epochs viable.
-  /// Only taken when every tree edge is flow-eligible and no reliable
-  /// channel is attached.
+  /// Only taken when every tree edge is flow-eligible and the network runs
+  /// best-effort delivery.
   void collect_tree_flow(const ScalarField& field, CollectCallback done,
                          SensorFilter filter);
   void collect_clustered(const ScalarField& field, std::size_t k,
@@ -199,7 +190,6 @@ class SensorNetwork {
   common::Rng rng_;
   std::vector<net::NodeId> sensors_;
   net::NodeId base_ = net::kInvalidNode;
-  net::ReliableChannel* reliable_ = nullptr;
   std::unique_ptr<net::SinkTree> tree_;
 };
 

@@ -80,7 +80,7 @@ void SharedTreeRegistry::run_epoch(const std::shared_ptr<Group>& group) {
   group->epoch_start = sim.now();
   const telemetry::TraceCosts before = ledger.trace(group->trace);
   net::Budget budget = net::Budget::unlimited();
-  if (group->budget_s > 0.0 && sensors_.reliable_channel() != nullptr) {
+  if (group->budget_s > 0.0) {
     budget =
         net::Budget::until(sim.now() + sim::SimTime::seconds(group->budget_s));
   }

@@ -59,8 +59,9 @@ class SharedTreeRegistry {
     /// creator's filter is installed (equal keys imply equal predicates).
     SensorNetwork::SensorFilter filter;
     double epoch_s = 1.0;
-    /// Per-round delivery budget in seconds (0 = unlimited; only honoured
-    /// when a reliable channel is attached, matching the executor).
+    /// Per-round delivery budget in seconds (0 = unlimited), from
+    /// partition::query_budget_s like the executor's; best-effort delivery
+    /// ignores it.
     double budget_s = 0.0;
     /// Ledger trace that receives this subscriber's cost shares.
     telemetry::TraceId trace = telemetry::kNoTrace;

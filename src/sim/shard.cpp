@@ -123,7 +123,7 @@ std::uint64_t LockstepWorld::run_window(SimTime end,
       fired_[r] = regions_[r]->run_until(end);
     }
   };
-  if (pool != nullptr && config_.parallel && lanes > 1) {
+  if (pool != nullptr && lanes > 1) {
     pool->parallel_for(lanes,
                        [&](std::size_t first, std::size_t last) {
                          for (std::size_t lane = first; lane < last; ++lane) {

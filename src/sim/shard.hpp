@@ -56,8 +56,6 @@ struct ShardingConfig {
   /// end; keep this at or below the minimum cross-region latency
   /// (backhaul delay, boundary radio propagation).
   SimTime window = SimTime::milliseconds(5);
-  /// Run shard lanes on a thread pool when one is supplied to run().
-  bool parallel = true;
 };
 
 /// One cross-region message: deliver `fn` into region `dst` at `at`.
@@ -146,9 +144,9 @@ class LockstepWorld {
   }
 
   /// Runs lockstep windows until every region's queue is empty and the
-  /// mailbox has drained.  With `pool` and config.parallel, shard lanes run
-  /// concurrently (one task per lane); otherwise lanes run in order on the
-  /// calling thread.  Either way the result is bit-identical.
+  /// mailbox has drained.  With a `pool`, shard lanes run concurrently (one
+  /// task per lane); without one lanes run in order on the calling thread.
+  /// Either way the result is bit-identical.
   LockstepStats run(common::ThreadPool* pool = nullptr);
 
   /// Runs windows until every region reaches `deadline` (and the mailbox

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "net/reliable.hpp"
 #include "sensornet/lifetime.hpp"
 #include "sensornet/sensor_network.hpp"
 
@@ -156,6 +157,142 @@ INSTANTIATE_TEST_SUITE_P(
         case CollectionStrategy::kAllToBase: name += "raw"; break;
         case CollectionStrategy::kClusterAggregate: name += "cluster"; break;
         case CollectionStrategy::kTreeAggregate: name += "tree"; break;
+      }
+      return name;
+    });
+
+// ---------------------------------------------------------------------------
+// Unreachable sensor: one island sensor under both delivery disciplines.
+// Whatever the solution model, the island's transfer fails (on the next
+// event, never synchronously), the round still completes exactly once
+// with every other reading, and a read of the island fails.
+// ---------------------------------------------------------------------------
+
+enum class IslandRound { kAllToBase, kTree, kCluster, kRegionAverages, kRead };
+
+struct IslandCase {
+  bool acked;  ///< ReliableChannel attached to the network
+  IslandRound round;
+  /// Reference values, recorded before Network::deliver became the one
+  /// place that picks the delivery discipline; the seam must not move them.
+  double elapsed_s;
+  double energy_j;
+};
+
+class IslandSensor : public ::testing::TestWithParam<IslandCase> {
+ protected:
+  static constexpr std::size_t kSensors = 30;
+
+  IslandSensor() : net_(sim_, common::Rng(41)) {
+    SensorNetworkConfig config;
+    config.sensor_count = kSensors;
+    // Random placement: the sink tree's routes then differ from the
+    // (hops, distance) shortest paths, so a round that switched from one
+    // to the other would move the reference energy below.
+    config.width_m = 60.0;
+    config.height_m = 60.0;
+    config.grid_placement = false;
+    config.base_pos = {-5, -5, 0};
+    config.noise_std = 0.0;
+    config.radio.loss_prob = 0.0;  // only the island may go missing
+    snet_ = std::make_unique<SensorNetwork>(net_, config, common::Rng(7));
+    island_ = snet_->sensors().back();
+    net_.move_node(island_, {400.0, 400.0, 0.0});
+    if (GetParam().acked) {
+      channel_ = std::make_unique<net::ReliableChannel>(
+          net_, net::ReliableConfig{}, common::Rng(5));
+      net_.set_reliable_channel(channel_.get());
+    }
+  }
+
+  sim::Simulator sim_;
+  net::Network net_;
+  std::unique_ptr<SensorNetwork> snet_;
+  std::unique_ptr<net::ReliableChannel> channel_;
+  net::NodeId island_ = net::kInvalidNode;
+};
+
+TEST_P(IslandSensor, RoundCompletesOnceWithoutTheIsland) {
+  const IslandCase& param = GetParam();
+  UniformField field(21.0);
+  std::size_t completions = 0;
+  double elapsed_s = 0.0;
+  double energy_j = 0.0;
+  if (param.round == IslandRound::kRead) {
+    ReadResult read;
+    read.ok = true;
+    snet_->read_sensor(island_, field, [&](ReadResult r) {
+      ++completions;
+      read = r;
+    });
+    EXPECT_EQ(completions, 0u);  // never synchronous
+    sim_.run();
+    ASSERT_EQ(completions, 1u);
+    EXPECT_FALSE(read.ok);
+    elapsed_s = read.elapsed_s;
+    energy_j = read.energy_j;
+  } else {
+    CollectionResult result;
+    auto done = [&](CollectionResult r) {
+      ++completions;
+      result = r;
+    };
+    const std::size_t k = 4;
+    switch (param.round) {
+      case IslandRound::kAllToBase:
+        snet_->collect_all_to_base(field, done);
+        break;
+      case IslandRound::kTree:
+        snet_->collect_tree_aggregate(field, done);
+        break;
+      case IslandRound::kCluster:
+        snet_->collect_cluster_aggregate(field, k, done);
+        break;
+      case IslandRound::kRegionAverages:
+        snet_->collect_region_averages(field, k, done);
+        break;
+      case IslandRound::kRead:
+        break;
+    }
+    EXPECT_EQ(completions, 0u);  // never synchronous
+    sim_.run();
+    ASSERT_EQ(completions, 1u);
+    // The sink tree cannot reach the island, so only the tree leaves it
+    // out of `expected`; every other model expects it and misses it.
+    const std::size_t expected =
+        param.round == IslandRound::kTree ? kSensors - 1 : kSensors;
+    EXPECT_EQ(result.expected, expected);
+    EXPECT_EQ(result.reports, kSensors - 1);
+    EXPECT_EQ(result.complete, result.reports == result.expected);
+    EXPECT_DOUBLE_EQ(result.aggregate.result(AggregateFunction::kAvg), 21.0);
+    elapsed_s = result.elapsed_s;
+    energy_j = result.energy_j;
+  }
+  EXPECT_DOUBLE_EQ(elapsed_s, param.elapsed_s);
+  EXPECT_DOUBLE_EQ(energy_j, param.energy_j);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DisciplinesAndRounds, IslandSensor,
+    ::testing::Values(
+        IslandCase{false, IslandRound::kAllToBase, 0.066665000000000002, 0.0014148468058267636},
+        IslandCase{false, IslandRound::kTree, 0.074999999999999997, 0.00075448190583861136},
+        IslandCase{false, IslandRound::kCluster, 0.086665999999999993, 0.00062219989311379617},
+        IslandCase{false, IslandRound::kRegionAverages, 0.086665999999999993, 0.00062219989311379617},
+        IslandCase{false, IslandRound::kRead, 0.0, 0.0},
+        IslandCase{true, IslandRound::kAllToBase, 0.36476799999999998, 0.0023394317536491764},
+        IslandCase{true, IslandRound::kTree, 0.13749999999999998, 0.0011234824788302147},
+        IslandCase{true, IslandRound::kCluster, 0.41643399999999997, 0.0010294472868270955},
+        IslandCase{true, IslandRound::kRegionAverages, 0.41643399999999997, 0.0010294472868270955},
+        IslandCase{true, IslandRound::kRead, 0.36476799999999998, 0.0}),
+    [](const ::testing::TestParamInfo<IslandCase>& info) {
+      std::string name = info.param.acked ? "acked_" : "best_effort_";
+      switch (info.param.round) {
+        case IslandRound::kAllToBase: name += "all_to_base"; break;
+        case IslandRound::kTree: name += "tree"; break;
+        case IslandRound::kCluster: name += "cluster"; break;
+        case IslandRound::kRegionAverages: name += "region_averages"; break;
+        case IslandRound::kRead: name += "read"; break;
       }
       return name;
     });

@@ -82,7 +82,6 @@ SyntheticResult run_synthetic(std::size_t regions, std::size_t shards,
   sim::ShardingConfig cfg;
   cfg.shards = shards;
   cfg.window = sim::SimTime::microseconds(500);
-  cfg.parallel = pooled;
   SyntheticWorld world(regions, cfg);
   common::ThreadPool pool(4);
   SyntheticResult result;
