@@ -109,17 +109,25 @@ PY
 echo "=== perf harness: build, unit tests, one rep per workload ==="
 # The standalone perf project (perf/, BENCHMARK.json) compiles ../src on its
 # own.  Its unit tests run under ctest; then every BENCHMARK.json workload
-# runs once at seed 1 with no time budget, so any of pgrid_perf's built-in
-# correctness gates (outcome digest stability, exactly-once completion,
-# ledger conservation) fails CI through the exit code.  Each run's
-# outcome_digest must also equal the seed-1 entry in the table below: a
-# refactor leaves the table alone, and a change that means to alter
-# behaviour updates it (and says so in CHANGES.md).
+# runs once at seed 1 and once at the held-out seed 101 with no time budget,
+# so any of pgrid_perf's built-in correctness gates (outcome digest
+# stability, exactly-once completion, ledger conservation) fails CI through
+# the exit code.  Each run's outcome_digest must also equal that seed's
+# entry in the tables below: a refactor leaves the tables alone, and a
+# change that means to alter behaviour updates them (and says so in
+# CHANGES.md).  Seed 101 is never used while tuning, so a change fitted to
+# seed 1 still has to reproduce an unseen run.
 declare -A SEED1_DIGEST=(
   [study-building]=b62a7453f4991e29
   [city-flow]=817ffbcb0a65dd0e
   [shared-load]=770c4ca3f53f41c2
   [mobile-failover]=6b351f588aa7ebfa
+)
+declare -A SEED101_DIGEST=(
+  [study-building]=6364b10d4aea5331
+  [city-flow]=849281895fd127b6
+  [shared-load]=f645e7e6182b35d5
+  [mobile-failover]=53d8002162f69749
 )
 cmake -S perf -B out/perf-ci -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPGRID_WERROR=ON
@@ -128,16 +136,22 @@ ctest --test-dir out/perf-ci --output-on-failure -j "${JOBS}"
 for workload in $(python3 -c '
 import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
-  report="$(out/perf-ci/pgrid_perf --workload "${workload}" --seed 1 \
-    --reps 1 --seconds 0)"
-  echo "${report}"
-  digest="$(awk '$1 == "outcome_digest" { print $2 }' <<< "${report}")"
-  expected="${SEED1_DIGEST[${workload}]:-<no entry>}"
-  if [[ "${digest}" != "${expected}" ]]; then
-    echo "perf: ${workload} seed-1 outcome_digest ${digest}, table says" \
-      "${expected}" >&2
-    exit 1
-  fi
+  for seed in 1 101; do
+    report="$(out/perf-ci/pgrid_perf --workload "${workload}" \
+      --seed "${seed}" --reps 1 --seconds 0)"
+    echo "${report}"
+    digest="$(awk '$1 == "outcome_digest" { print $2 }' <<< "${report}")"
+    if [[ "${seed}" == 1 ]]; then
+      expected="${SEED1_DIGEST[${workload}]:-<no entry>}"
+    else
+      expected="${SEED101_DIGEST[${workload}]:-<no entry>}"
+    fi
+    if [[ "${digest}" != "${expected}" ]]; then
+      echo "perf: ${workload} seed-${seed} outcome_digest ${digest}," \
+        "table says ${expected}" >&2
+      exit 1
+    fi
+  done
 done
 
 echo "CI OK: both presets built, all tests passed, bench smoke clean, perf gates and digests clean."

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 namespace pgrid::net {
 
@@ -19,7 +18,10 @@ constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 /// pops level by level, each level in ascending (distance, node) order.
 /// Sorting each level's batch reproduces that order, ties included, and
 /// dst's route is final once its level is reached.  The search state is
-/// thread-local and reused: a lookup allocates only its result.
+/// thread-local and reused: a lookup allocates only its result, and it
+/// resets only the entries the previous lookup touched (a member-to-head
+/// search reaches a few dozen nodes of thousands), so its cost follows the
+/// explored region rather than the network size.
 template <typename ForEachEdge>
 std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
                              ForEachEdge&& for_each_edge) {
@@ -31,12 +33,22 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
 
   using Cost = std::pair<std::size_t, double>;
   using Entry = std::pair<double, NodeId>;  // (distance, node) in a level
+  constexpr Cost kUnset{kUnreachable, 0.0};
   thread_local std::vector<Cost> best;
   thread_local std::vector<NodeId> prev;
+  thread_local std::vector<NodeId> touched;
   thread_local std::vector<Entry> level, next;
-  best.assign(n, {kUnreachable, 0.0});
-  prev.assign(n, kInvalidNode);
+  for (NodeId id : touched) {
+    best[id] = kUnset;
+    prev[id] = kInvalidNode;
+  }
+  touched.clear();
+  if (best.size() < n) {
+    best.resize(n, kUnset);
+    prev.resize(n, kInvalidNode);
+  }
   best[src] = {0, 0.0};
+  touched.push_back(src);
   level.assign(1, {0.0, src});
 
   for (std::size_t hops = 0; !level.empty() && best[dst].first > hops;
@@ -48,6 +60,7 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
       for_each_edge(at, [&](NodeId to, double d) {
         const Cost candidate{hops + 1, dist + d};
         if (candidate < best[to]) {
+          if (best[to] == kUnset) touched.push_back(to);
           best[to] = candidate;
           prev[to] = at;
           next.push_back({candidate.second, to});
@@ -122,30 +135,32 @@ std::vector<NodeId> cached_shortest_path(const Network& network, NodeId src,
 SinkTree::SinkTree(const Network& network, NodeId sink)
     : sink_(sink),
       parent_(network.size(), kInvalidNode),
-      children_(network.size()),
       depth_(network.size(), kUnreachable),
       version_(network.topology_version()) {
   if (sink >= network.size() || !network.alive(sink)) return;
   const TopologySnapshot& topo = network.topology_snapshot();
   depth_[sink] = 0;
   order_.push_back(sink);
-  std::queue<NodeId> frontier;
-  frontier.push(sink);
-  while (!frontier.empty()) {
-    const NodeId at = frontier.front();
-    frontier.pop();
+  level_start_.push_back(0);
+  // order_ doubles as the BFS queue.  Depths along it never decrease, so
+  // each level is one contiguous run and a new level starts exactly where
+  // a node one hop deeper than the current maximum is appended.
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const NodeId at = order_[head];
     // Deterministic child order: snapshot rows are in ascending id order,
     // exactly like neighbors().
     for (NodeId next : topo.row(at)) {
       if (depth_[next] != kUnreachable) continue;
       depth_[next] = depth_[at] + 1;
-      if (depth_[next] > max_depth_) max_depth_ = depth_[next];
+      if (depth_[next] > max_depth_) {
+        max_depth_ = depth_[next];
+        level_start_.push_back(order_.size());
+      }
       parent_[next] = at;
-      children_[at].push_back(next);
       order_.push_back(next);
-      frontier.push(next);
     }
   }
+  level_start_.push_back(order_.size());
 }
 
 bool SinkTree::contains(NodeId id) const {
@@ -156,9 +171,10 @@ NodeId SinkTree::parent(NodeId id) const {
   return id < parent_.size() ? parent_[id] : kInvalidNode;
 }
 
-const std::vector<NodeId>& SinkTree::children(NodeId id) const {
-  static const std::vector<NodeId> kEmpty;
-  return id < children_.size() ? children_[id] : kEmpty;
+std::span<const NodeId> SinkTree::level(std::size_t depth) const {
+  if (depth + 1 >= level_start_.size()) return {};
+  return std::span<const NodeId>(order_).subspan(
+      level_start_[depth], level_start_[depth + 1] - level_start_[depth]);
 }
 
 std::size_t SinkTree::depth(NodeId id) const {

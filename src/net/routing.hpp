@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/network.hpp"
@@ -58,7 +59,6 @@ class SinkTree {
   /// Parent on the path to the sink; kInvalidNode for the sink itself or
   /// unreachable nodes.
   NodeId parent(NodeId id) const;
-  const std::vector<NodeId>& children(NodeId id) const;
   /// Hop distance from the sink; SIZE_MAX if unreachable.
   std::size_t depth(NodeId id) const;
   /// Deepest reachable node, cached at construction (the build already
@@ -70,15 +70,20 @@ class SinkTree {
   /// All reachable node ids, sink first, in breadth-first order.  Iterating
   /// in reverse visits leaves before their parents (aggregation order).
   const std::vector<NodeId>& bfs_order() const { return order_; }
+  /// The nodes at hop distance `depth`, in BFS order: a contiguous slice of
+  /// bfs_order() (depths never decrease along it).  Empty past max_depth()
+  /// or for a tree whose sink is dead.
+  std::span<const NodeId> level(std::size_t depth) const;
   /// Topology version the tree was built against (staleness check).
   std::uint64_t built_at_version() const { return version_; }
 
  private:
   NodeId sink_;
   std::vector<NodeId> parent_;
-  std::vector<std::vector<NodeId>> children_;
   std::vector<std::size_t> depth_;
   std::vector<NodeId> order_;
+  /// level(d) is order_[level_start_[d], level_start_[d + 1]).
+  std::vector<std::size_t> level_start_;
   std::uint64_t version_;
   std::size_t max_depth_ = 0;
 };

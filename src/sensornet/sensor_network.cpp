@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <optional>
 
 #include "net/flow.hpp"
@@ -84,11 +85,13 @@ double SensorNetwork::building_depth_m() const {
   return static_cast<double>(config_.floors) * config_.floor_height_m;
 }
 
-const net::SinkTree& SensorNetwork::tree() {
+const net::SinkTree& SensorNetwork::tree() { return *current_tree(); }
+
+const std::shared_ptr<const net::SinkTree>& SensorNetwork::current_tree() {
   if (!tree_ || tree_->built_at_version() != network_.topology_version()) {
-    tree_ = std::make_unique<net::SinkTree>(network_, base_);
+    tree_ = std::make_shared<const net::SinkTree>(network_, base_);
   }
-  return *tree_;
+  return tree_;
 }
 
 std::size_t SensorNetwork::alive_sensors() const {
@@ -185,6 +188,33 @@ void SensorNetwork::collect_all_to_base(const ScalarField& field,
   }
 }
 
+namespace {
+/// One tree node's partial aggregate this epoch and how many readings it
+/// represents.  Indexed by NodeId: a node holding nothing reads as the
+/// default entry (count 0, no reports), which every TAG check treats as
+/// "nothing to send".
+struct Partial {
+  AggregateState state;
+  std::size_t reports = 0;
+};
+
+/// Seeds each qualifying in-tree sensor's partial with its own sample;
+/// returns the number seeded (the round's expected report count).
+std::size_t seed_partials(
+    const net::SinkTree& tree,
+    const std::vector<std::pair<net::NodeId, double>>& qualified,
+    std::vector<Partial>& partials) {
+  std::size_t expected = 0;
+  for (const auto& [sensor, value] : qualified) {
+    if (!tree.contains(sensor)) continue;
+    partials[sensor].state.add(value);
+    partials[sensor].reports = 1;
+    ++expected;
+  }
+  return expected;
+}
+}  // namespace
+
 void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
                                            CollectCallback done,
                                            SensorFilter filter,
@@ -204,47 +234,32 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
     flow.note_packet_fallback();
   }
   auto round = begin_round(std::move(done));
-  // Snapshot the tree: topology churn mid-round must not invalidate the
-  // schedule this round was built against.
-  auto routing_tree = std::make_shared<net::SinkTree>(tree());
+  // Hold this round's tree: a topology change mid-round replaces tree_
+  // without touching the tree this round's schedule was built against.
+  std::shared_ptr<const net::SinkTree> routing_tree = current_tree();
   const auto qualified = qualifying_samples(*this, field, filter);
 
   // Per-node partial states; qualifying sensors contribute their sample.
   // Non-qualifying tree nodes still relay their children's states.
-  auto states = std::make_shared<std::map<net::NodeId, AggregateState>>();
-  auto contributions =
-      std::make_shared<std::map<net::NodeId, std::size_t>>();
-  std::size_t expected = 0;
-  for (const auto& [sensor, value] : qualified) {
-    if (!routing_tree->contains(sensor)) continue;
-    AggregateState state;
-    state.add(value);
-    (*states)[sensor] = state;
-    (*contributions)[sensor] = 1;
-    ++expected;
-  }
-  round->result.expected = expected;
+  auto partials = std::make_shared<std::vector<Partial>>(network_.size());
+  round->result.expected = seed_partials(*routing_tree, qualified, *partials);
 
-  // Group by depth; transmit deepest level first so parents hold complete
-  // subtree states when their turn comes (TAG's epoch schedule).
   const std::size_t deepest = routing_tree->max_depth();
-  auto levels = std::make_shared<std::vector<std::vector<net::NodeId>>>();
-  levels->resize(deepest + 1);
-  for (net::NodeId id : routing_tree->bfs_order()) {
-    if (id == base_) continue;
-    (*levels)[routing_tree->depth(id)].push_back(id);
+  if (deepest == 0) {
+    network_.simulator().schedule(sim::SimTime::zero(),
+                                  [this, round] { finish_round(round); });
+    return;
   }
 
+  // Transmit deepest level first so parents hold complete subtree states
+  // when their turn comes (TAG's epoch schedule).
   auto run_level = std::make_shared<std::function<void(std::size_t)>>();
-  *run_level = [this, round, states, contributions, levels, run_level,
-                routing_tree, budget](std::size_t depth) {
+  *run_level = [this, round, partials, run_level, routing_tree,
+                budget](std::size_t depth) {
     if (depth == 0) {
       // All partial states have arrived at (or failed before) the base.
-      auto it = states->find(base_);
-      if (it != states->end()) round->result.aggregate = it->second;
-      auto contributed = contributions->find(base_);
-      round->result.reports =
-          contributed == contributions->end() ? 0 : contributed->second;
+      round->result.aggregate = (*partials)[base_].state;
+      round->result.reports = (*partials)[base_].reports;
       finish_round(round);
       // `*run_level` captures `run_level`; break the cycle (deferred:
       // destroying the std::function currently executing is UB).
@@ -252,7 +267,7 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
                                     [run_level] { *run_level = nullptr; });
       return;
     }
-    const auto& level_nodes = (*levels)[depth];
+    const auto level_nodes = routing_tree->level(depth);
     auto pending = std::make_shared<std::size_t>(level_nodes.size());
     if (level_nodes.empty()) {
       (*run_level)(depth - 1);
@@ -260,23 +275,19 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
     }
     for (net::NodeId id : level_nodes) {
       const net::NodeId parent = routing_tree->parent(id);
-      auto state_it = states->find(id);
-      const bool has_state =
-          state_it != states->end() && state_it->second.count > 0;
+      const Partial& held = (*partials)[id];
       auto advance = [this, pending, run_level, depth] {
         if (--*pending == 0) (*run_level)(depth - 1);
       };
-      if (!has_state || !network_.alive(id)) {
+      if (held.state.count == 0 || !network_.alive(id)) {
         network_.simulator().schedule(sim::SimTime::zero(), advance);
         continue;
       }
-      const AggregateState to_send = state_it->second;
-      const std::size_t contributed = (*contributions)[id];
-      auto complete = [states, contributions, parent, to_send, contributed,
-                       advance](bool ok) {
+      auto complete = [partials, parent, to_send = held, advance](bool ok) {
         if (ok) {
-          (*states)[parent].merge(to_send);
-          (*contributions)[parent] += contributed;
+          Partial& into = (*partials)[parent];
+          into.state.merge(to_send.state);
+          into.reports += to_send.reports;
         }
         advance();
       };
@@ -286,11 +297,6 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
                            std::move(complete));
     }
   };
-  if (deepest == 0) {
-    network_.simulator().schedule(sim::SimTime::zero(),
-                                  [this, round] { finish_round(round); });
-    return;
-  }
   (*run_level)(deepest);
 }
 
@@ -302,18 +308,8 @@ void SensorNetwork::collect_tree_flow(const ScalarField& field,
   const net::SinkTree& routing_tree = tree();
   const auto qualified = qualifying_samples(*this, field, filter);
 
-  std::map<net::NodeId, AggregateState> states;
-  std::map<net::NodeId, std::size_t> contributions;
-  std::size_t expected = 0;
-  for (const auto& [sensor, value] : qualified) {
-    if (!routing_tree.contains(sensor)) continue;
-    AggregateState state;
-    state.add(value);
-    states[sensor] = state;
-    contributions[sensor] = 1;
-    ++expected;
-  }
-  round->result.expected = expected;
+  std::vector<Partial> partials(network_.size());
+  round->result.expected = seed_partials(routing_tree, qualified, partials);
 
   const std::size_t deepest = routing_tree.max_depth();
   if (deepest == 0) {
@@ -321,29 +317,27 @@ void SensorNetwork::collect_tree_flow(const ScalarField& field,
                                   [this, round] { finish_round(round); });
     return;
   }
-  std::vector<std::vector<net::NodeId>> levels(deepest + 1);
-  for (net::NodeId id : routing_tree.bfs_order()) {
-    if (id == base_) continue;
-    levels[routing_tree.depth(id)].push_back(id);
-  }
 
   // TAG's epoch schedule, resolved analytically: per level (deepest first),
   // every state-holding node's parent edge gets one loss draw + one
   // expectation-value charge, and the level's duration is the slowest of
   // the n concurrent transmitters — E[max of n truncated-geometric attempt
   // counts], not n * E[attempts], so deep fan-in does not underestimate.
+  // That order statistic depends only on (n, loss_p), so it is evaluated
+  // once per level and distinct loss probability, not once per hop.
   double total_us = 0.0;
+  std::vector<net::NodeId> transmitters;
   for (std::size_t depth = deepest; depth >= 1; --depth) {
-    std::vector<net::NodeId> transmitters;
-    for (net::NodeId id : levels[depth]) {
-      auto it = states.find(id);
-      if (it == states.end() || it->second.count == 0) continue;
-      if (!network_.alive(id)) continue;
+    transmitters.clear();
+    for (net::NodeId id : routing_tree.level(depth)) {
+      if (partials[id].state.count == 0 || !network_.alive(id)) continue;
       transmitters.push_back(id);
     }
     if (transmitters.empty()) continue;
     const std::size_t n = transmitters.size();
     double level_us = 0.0;
+    std::optional<double> slowest_loss_p;
+    double slowest = 0.0;
     for (net::NodeId id : transmitters) {
       const net::NodeId parent = routing_tree.parent(id);
       net::FlowModel::HopOutcome hop;
@@ -355,30 +349,28 @@ void SensorNetwork::collect_tree_flow(const ScalarField& field,
       bool ok = flow.rng().uniform01() < hop.success_p;
       ok = flow.charge_hop(id, parent, config_.state_bytes, hop, ok) && ok;
       if (ok) {
-        states[parent].merge(states[id]);
-        contributions[parent] += contributions[id];
+        partials[parent].state.merge(partials[id].state);
+        partials[parent].reports += partials[id].reports;
       }
-      const double slowest = net::FlowModel::expected_max_attempts(
-          n, hop.loss_p, network_.max_retries());
+      if (slowest_loss_p != hop.loss_p) {
+        slowest_loss_p = hop.loss_p;
+        slowest = net::FlowModel::expected_max_attempts(
+            n, hop.loss_p, network_.max_retries());
+      }
       level_us = std::max(
           level_us, static_cast<double>(hop.base_latency.us) * slowest);
     }
     total_us += level_us;
   }
 
-  AggregateState aggregate;
-  if (auto it = states.find(base_); it != states.end()) aggregate = it->second;
-  std::size_t reports = 0;
-  if (auto it = contributions.find(base_); it != contributions.end()) {
-    reports = it->second;
-  }
+  const Partial at_base = partials[base_];
   flow.note_tree_epoch();
   network_.simulator().schedule(
       sim::SimTime::microseconds(
           static_cast<std::int64_t>(std::llround(total_us))),
-      [this, round, aggregate, reports] {
-        round->result.aggregate = aggregate;
-        round->result.reports = reports;
+      [this, round, at_base] {
+        round->result.aggregate = at_base.state;
+        round->result.reports = at_base.reports;
         finish_round(round);
       });
 }

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -171,6 +170,8 @@ class SensorNetwork {
 
  private:
   struct RoundState;
+  /// tree(), as the shared pointer a multi-event round holds on to.
+  const std::shared_ptr<const net::SinkTree>& current_tree();
   std::shared_ptr<RoundState> begin_round(CollectCallback done);
   void finish_round(const std::shared_ptr<RoundState>& round);
   /// Whole-subtree analytic TAG epoch (net/flow.hpp): per-edge outcomes and
@@ -190,7 +191,9 @@ class SensorNetwork {
   common::Rng rng_;
   std::vector<net::NodeId> sensors_;
   net::NodeId base_ = net::kInvalidNode;
-  std::unique_ptr<net::SinkTree> tree_;
+  /// Replaced, never mutated, on a topology change, so a packet round that
+  /// holds the pointer keeps the tree its schedule was built against.
+  std::shared_ptr<const net::SinkTree> tree_;
 };
 
 }  // namespace pgrid::sensornet

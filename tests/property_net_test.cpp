@@ -16,6 +16,42 @@
 namespace pgrid::net {
 namespace {
 
+/// Reference: the textbook binary-heap Dijkstra over (hops, distance,
+/// node), relaxing on strict improvement, with fresh search state per call.
+std::vector<NodeId> heap_dijkstra(const Network& net, NodeId src,
+                                  NodeId dst) {
+  using Cost = std::pair<std::size_t, double>;
+  using Entry = std::pair<Cost, NodeId>;
+  std::vector<Cost> best(net.size(), {SIZE_MAX, 0.0});
+  std::vector<NodeId> prev(net.size(), kInvalidNode);
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  best[src] = {0, 0.0};
+  pq.push({best[src], src});
+  while (!pq.empty()) {
+    const auto [cost, at] = pq.top();
+    pq.pop();
+    if (cost > best[at]) continue;
+    if (at == dst) break;
+    for (NodeId next : net.neighbors(at)) {
+      const Cost candidate{
+          cost.first + 1,
+          cost.second + distance(net.node(at).pos, net.node(next).pos)};
+      if (candidate < best[next]) {
+        best[next] = candidate;
+        prev[next] = at;
+        pq.push({candidate, next});
+      }
+    }
+  }
+  std::vector<NodeId> route;
+  if (best[dst].first == SIZE_MAX) return route;
+  for (NodeId at = dst; at != kInvalidNode; at = prev[at]) {
+    route.insert(route.begin(), at);
+    if (at == src) break;
+  }
+  return route;
+}
+
 struct NetCase {
   std::uint64_t seed;
   std::size_t nodes;
@@ -114,46 +150,14 @@ TEST_P(NetProperty, ShortestPathIsHopOptimalAndValid) {
 }
 
 TEST_P(NetProperty, ShortestPathMatchesHeapDijkstraTieForTie) {
-  // Reference: the textbook binary-heap Dijkstra over (hops, distance,
-  // node), relaxing on strict improvement.  shortest_path expands hop
-  // levels in sorted batches instead; the routes — including every tie
-  // between equal-length paths, which grid placement makes exact — must
-  // match it node for node.
-  auto reference = [this](NodeId src, NodeId dst) {
-    using Cost = std::pair<std::size_t, double>;
-    using Entry = std::pair<Cost, NodeId>;
-    std::vector<Cost> best(net_.size(), {SIZE_MAX, 0.0});
-    std::vector<NodeId> prev(net_.size(), kInvalidNode);
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-    best[src] = {0, 0.0};
-    pq.push({best[src], src});
-    while (!pq.empty()) {
-      const auto [cost, at] = pq.top();
-      pq.pop();
-      if (cost > best[at]) continue;
-      if (at == dst) break;
-      for (NodeId next : net_.neighbors(at)) {
-        const Cost candidate{
-            cost.first + 1,
-            cost.second + distance(net_.node(at).pos, net_.node(next).pos)};
-        if (candidate < best[next]) {
-          best[next] = candidate;
-          prev[next] = at;
-          pq.push({candidate, next});
-        }
-      }
-    }
-    std::vector<NodeId> route;
-    if (best[dst].first == SIZE_MAX) return route;
-    for (NodeId at = dst; at != kInvalidNode; at = prev[at]) {
-      route.insert(route.begin(), at);
-      if (at == src) break;
-    }
-    return route;
-  };
+  // shortest_path expands hop levels in sorted batches instead of popping a
+  // heap; the routes — including every tie between equal-length paths,
+  // which grid placement makes exact — must match the reference node for
+  // node.
   for (std::size_t s = 0; s < ids_.size(); s += 1 + ids_.size() / 5) {
     for (auto dst : ids_) {
-      EXPECT_EQ(shortest_path(net_, ids_[s], dst), reference(ids_[s], dst))
+      EXPECT_EQ(shortest_path(net_, ids_[s], dst),
+                heap_dijkstra(net_, ids_[s], dst))
           << ids_[s] << " -> " << dst;
     }
   }
@@ -173,6 +177,28 @@ TEST_P(NetProperty, SinkTreeRoutesAreConsistent) {
     const auto route = tree.route_to_sink(id);
     EXPECT_EQ(route.size(), dist[id] + 1);
   }
+}
+
+TEST_P(NetProperty, SinkTreeLevelsPartitionBfsOrder) {
+  // level(d) is the contiguous run of bfs_order() at depth d: the levels
+  // concatenate back to the whole order, and nothing lies past max_depth.
+  SinkTree tree(net_, ids_.front());
+  std::vector<NodeId> concatenated;
+  for (std::size_t d = 0; d <= tree.max_depth(); ++d) {
+    const auto level = tree.level(d);
+    EXPECT_FALSE(level.empty()) << "depth " << d;
+    for (NodeId id : level) EXPECT_EQ(tree.depth(id), d);
+    concatenated.insert(concatenated.end(), level.begin(), level.end());
+  }
+  EXPECT_EQ(concatenated, tree.bfs_order());
+  EXPECT_TRUE(tree.level(tree.max_depth() + 1).empty());
+  ASSERT_EQ(tree.level(0).size(), 1u);
+  EXPECT_EQ(tree.level(0).front(), ids_.front());
+
+  net_.set_node_up(ids_.front(), false);
+  SinkTree dead(net_, ids_.front());
+  EXPECT_TRUE(dead.bfs_order().empty());
+  EXPECT_TRUE(dead.level(0).empty());
 }
 
 TEST_P(NetProperty, TransmissionsAreDeterministicPerSeed) {
@@ -207,6 +233,48 @@ TEST_P(NetProperty, NeighborRelationIsSymmetric) {
           << a << " <-> " << b;
     }
   }
+}
+
+TEST(ShortestPathReuse, InterleavedNetworksOfDifferentSizesMatchReference) {
+  // shortest_path keeps its search state per thread and resets only what
+  // the previous lookup touched.  Alternate one thread between a large and
+  // a small network — large, small, large — so stale entries from either
+  // size (including a search that exhausts the large network's component
+  // hunting an unreachable node) would surface as a wrong route.
+  NodeConfig config;
+  config.kind = NodeKind::kSensor;
+  config.radio = LinkClass::sensor_radio();
+  sim::Simulator large_sim;
+  Network large(large_sim, common::Rng(5));
+  auto large_ids = deploy_grid(large, 100, 150.0, 150.0, config);
+  NodeConfig island = config;
+  island.pos = {1000.0, 1000.0, 0.0};
+  large_ids.push_back(large.add_node(island));  // unreachable from the rest
+  sim::Simulator small_sim;
+  Network small(small_sim, common::Rng(6));
+  common::Rng placement(9);
+  const auto small_ids =
+      deploy_random(small, 16, 60.0, 60.0, config, placement);
+
+  auto check_large = [&] {
+    for (std::size_t s = 0; s < large_ids.size(); s += 17) {
+      for (NodeId dst : {large_ids.back(), large_ids[99], large_ids[3],
+                         large_ids[50], large_ids[s]}) {
+        EXPECT_EQ(shortest_path(large, large_ids[s], dst),
+                  heap_dijkstra(large, large_ids[s], dst))
+            << "large " << large_ids[s] << " -> " << dst;
+      }
+    }
+  };
+  check_large();
+  EXPECT_TRUE(shortest_path(large, large_ids[0], large_ids.back()).empty());
+  for (NodeId src : small_ids) {
+    for (NodeId dst : small_ids) {
+      EXPECT_EQ(shortest_path(small, src, dst), heap_dijkstra(small, src, dst))
+          << "small " << src << " -> " << dst;
+    }
+  }
+  check_large();
 }
 
 INSTANTIATE_TEST_SUITE_P(

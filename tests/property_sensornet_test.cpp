@@ -6,6 +6,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "net/flow.hpp"
 #include "net/reliable.hpp"
 #include "sensornet/lifetime.hpp"
 #include "sensornet/sensor_network.hpp"
@@ -296,6 +297,132 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// One lossy TAG epoch with a WHERE filter (non-qualifying relays still
+// forward) and a relay whose battery died after the tree was built (battery
+// death keeps the stale tree, so that relay's subtree is lost), on both
+// fidelity tiers.
+struct LossyEpochCase {
+  bool analytic;  ///< FlowModel installed: the epoch resolves in one event
+  /// Reference values, recorded before TAG epochs kept their state in
+  /// node-indexed vectors and walked SinkTree::level slices; that layout
+  /// change must not move them.
+  std::size_t expected;
+  std::size_t reports;
+  double sum;
+  double min;
+  double max;
+  double elapsed_s;
+  double energy_j;
+};
+
+class LossyTreeEpoch : public ::testing::TestWithParam<LossyEpochCase> {
+ protected:
+  LossyTreeEpoch() : net_(sim_, common::Rng(17)) {
+    SensorNetworkConfig config;
+    config.sensor_count = 64;
+    config.width_m = 120.0;
+    config.height_m = 120.0;
+    config.base_pos = {-5, -5, 0};
+    config.radio.loss_prob = 0.3;
+    snet_ = std::make_unique<SensorNetwork>(net_, config, common::Rng(23));
+    net_.set_max_retries(1);  // lossy enough that some partial states drop
+    if (GetParam().analytic) {
+      net::FlowConfig flow_config;
+      flow_config.enabled = true;
+      flow_ = std::make_unique<net::FlowModel>(net_, flow_config,
+                                               common::Rng(29));
+      net_.set_flow_model(flow_.get());
+    }
+  }
+
+  sim::Simulator sim_;
+  net::Network net_;
+  std::unique_ptr<SensorNetwork> snet_;
+  std::unique_ptr<net::FlowModel> flow_;
+};
+
+TEST_P(LossyTreeEpoch, MatchesReference) {
+  const LossyEpochCase& param = GetParam();
+  const net::SinkTree& tree = snet_->tree();
+  net::NodeId relay = net::kInvalidNode;
+  for (net::NodeId id : tree.bfs_order()) {
+    if (tree.depth(id) == 3) {
+      relay = tree.parent(id);
+      break;
+    }
+  }
+  ASSERT_NE(relay, net::kInvalidNode);
+  net_.drain_energy(relay, 10.0);
+  ASSERT_FALSE(net_.alive(relay));
+
+  GradientField field(20.0, 0.1);
+  std::size_t completions = 0;
+  CollectionResult result;
+  snet_->collect_tree_aggregate(
+      field,
+      [&](CollectionResult r) {
+        ++completions;
+        result = r;
+      },
+      [](net::NodeId id, double) { return id % 3 != 0; });
+  sim_.run();
+  ASSERT_EQ(completions, 1u);
+  if (param.analytic) {
+    EXPECT_EQ(flow_->stats().tree_epochs, 1u);
+    EXPECT_EQ(flow_->stats().packet_fallbacks, 0u);
+  }
+  EXPECT_EQ(result.expected, param.expected);
+  EXPECT_EQ(result.reports, param.reports);
+  EXPECT_LT(result.reports, result.expected);
+  EXPECT_EQ(result.aggregate.count, result.reports);
+  EXPECT_DOUBLE_EQ(result.aggregate.sum, param.sum);
+  EXPECT_DOUBLE_EQ(result.aggregate.min, param.min);
+  EXPECT_DOUBLE_EQ(result.aggregate.max, param.max);
+  EXPECT_DOUBLE_EQ(result.elapsed_s, param.elapsed_s);
+  EXPECT_DOUBLE_EQ(result.energy_j, param.energy_j);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, LossyTreeEpoch,
+    ::testing::Values(
+        LossyEpochCase{true, 42, 38, 987.9636273755408, 19.595637538721601,
+                       32.18213793038916, 0.19380699999999998,
+                       0.0015604780408065011},
+        LossyEpochCase{false, 42, 21, 497.15818053504745, 19.595637538721601,
+                       30.396138467371063, 0.17999999999999999,
+                       0.0015982628571435953}),
+    [](const ::testing::TestParamInfo<LossyEpochCase>& info) {
+      return std::string(info.param.analytic ? "analytic" : "packet");
+    });
+
+TEST(TreeAggregate, IsolatedBaseRoundCompletesAndReleasesItsCallback) {
+  // A base out of every sensor's range roots a depth-0 tree: the round must
+  // still complete exactly once and then let go of its callback.
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(3));
+  SensorNetworkConfig config;
+  config.sensor_count = 16;
+  config.width_m = 60.0;
+  config.height_m = 60.0;
+  config.base_pos = {500.0, 500.0, 0.0};
+  SensorNetwork snet(net, config, common::Rng(4));
+  ASSERT_EQ(snet.tree().max_depth(), 0u);
+
+  UniformField field(21.0);
+  auto token = std::make_shared<int>(0);
+  std::size_t completions = 0;
+  CollectionResult result;
+  snet.collect_tree_aggregate(field,
+                              [token, &completions, &result](CollectionResult r) {
+                                ++completions;
+                                result = r;
+                              });
+  sim.run();
+  EXPECT_EQ(completions, 1u);
+  EXPECT_EQ(result.reports, 0u);
+  EXPECT_EQ(token.use_count(), 1);
+}
 
 }  // namespace
 }  // namespace pgrid::sensornet
