@@ -27,6 +27,7 @@
 //              unshared, and bit-identical fingerprints with the sharing
 //              layer enabled but untriggered (the kill-switch contract).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -183,8 +184,11 @@ CityResult run_city(std::size_t regions, std::size_t sensors_per_region) {
   out.regions = regions;
   out.sensors_total = regions * sensors_per_region;
   const std::string query = "SELECT AVG(temp) FROM sensors";
-  auto accept = [&out](core::QueryOutcome outcome) {
-    if (outcome.ok) ++out.queries_ok;
+  // Completions fire on the lane threads of whichever regions run them, so
+  // the tallies are atomic.
+  std::atomic<std::size_t> queries_ok{0};
+  auto accept = [&queries_ok](core::QueryOutcome outcome) {
+    if (outcome.ok) ++queries_ok;
   };
   // Local traffic: every base station answers its own aggregate query...
   for (std::size_t r = 0; r < regions; ++r) {
@@ -200,7 +204,7 @@ CityResult run_city(std::size_t regions, std::size_t sensors_per_region) {
                        query, accept);
     ++out.queries;
   }
-  std::size_t transfers_done = 0;
+  std::atomic<std::size_t> transfers_done{0};
   for (std::size_t r = 0; r < regions; ++r) {
     city.transfer_remote(r, (r + 1) % regions, sim::SimTime::seconds(9.0),
                          1 << 20, [&transfers_done](bool ok) {
@@ -222,7 +226,7 @@ CityResult run_city(std::size_t regions, std::size_t sensors_per_region) {
     out.sim_elapsed_s = std::max(
         out.sim_elapsed_s, city.region(r).simulator().now().to_seconds());
   }
-  out.queries_ok = std::min(out.queries_ok, out.queries);
+  out.queries_ok = std::min(queries_ok.load(), out.queries);
   if (transfers_done != regions) out.queries_ok = 0;  // transfer gate folded in
   out.build_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   out.run_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();

@@ -82,6 +82,16 @@ echo "=== bench smoke: kernel + decision maker + topology + reliability + city +
 # acquisition speedup gate (>=2x over a baseline that forces a global
 # epoch every round at the --quick size, >=5x at N=1600 in the full run)
 # enforced in the exit code.
+# The resilience, failover and load reports hold only simulated numbers, so
+# a regenerated copy must equal the committed one byte for byte.  A change
+# that means to alter them commits the new file and says so in CHANGES.md,
+# the same rule as the outcome-digest tables below.  Snapshot the committed
+# copies before the runs overwrite them.
+bench_snapshot="$(mktemp -d)"
+trap 'rm -rf "${bench_snapshot}"' EXIT
+for report in BENCH_resilience.json BENCH_failover.json BENCH_load.json; do
+  cp "${report}" "${bench_snapshot}/${report}"
+done
 out/default/bench/bench_sim_kernel --json --quick > BENCH_kernel.json
 out/default/bench/bench_decision_maker --json > /tmp/bench_dm.json
 out/default/bench/bench_routing --json --quick > BENCH_topology.json
@@ -105,6 +115,14 @@ for path in sys.argv[1:]:
             f"{path}: ragged rows in series {series['name']!r}")
     print(f"bench JSON ok: {path} ({len(report['series'])} series)")
 PY
+for report in BENCH_resilience.json BENCH_failover.json BENCH_load.json; do
+  if ! cmp -s "${bench_snapshot}/${report}" "${report}"; then
+    echo "bench: regenerated ${report} differs from the committed copy" >&2
+    diff "${bench_snapshot}/${report}" "${report}" | head -20 >&2 || true
+    exit 1
+  fi
+  echo "bench JSON identical to committed: ${report}"
+done
 
 echo "=== perf harness: build, unit tests, one rep per workload ==="
 # The standalone perf project (perf/, BENCHMARK.json) compiles ../src on its

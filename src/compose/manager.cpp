@@ -135,18 +135,6 @@ void CompositionManager::bind_and_invoke(const std::shared_ptr<RunState>& run,
                                        return bad.count(m.service.name) > 0;
                                      }),
                       matches.end());
-        // Drop providers whose circuit breaker is open: re-discovery routes
-        // around tripped services instead of burning the budget on them.
-        if (auto* breakers = run->options.provider_breakers) {
-          const sim::SimTime now = platform_.simulator().now();
-          matches.erase(
-              std::remove_if(matches.begin(), matches.end(),
-                             [&](const discovery::Match& m) {
-                               return breakers->state(m.service.name, now) ==
-                                      net::BreakerState::kOpen;
-                             }),
-              matches.end());
-        }
         if (matches.empty()) {
           complete_task(run, index, false);
           return;
@@ -274,34 +262,16 @@ void CompositionManager::invoke_bound(
     complete_task(run, index, false);
     return;
   }
-  auto* breakers = run->options.provider_breakers;
-  if (breakers && !breakers->admit(service.name, now)) {
-    // Breaker open and cooling: don't spend the invocation; treat as a
-    // provider failure and re-bind elsewhere (without blacklisting — the
-    // provider may heal and its half-open probe re-admit it later).
-    ++run->report.breaker_short_circuits;
-    if (rebinds_left > 0) {
-      ++run->report.rebinds;
-      bind_and_invoke(run, index, rebinds_left - 1);
-      return;
-    }
-    complete_task(run, index, false);
-    return;
-  }
   invoke_service(
       platform_, client_, service, spec.compute_ops, spec.input_bytes,
       spec.output_bytes,
       clamp_to_deadline(run->options, run->options.invoke_timeout, now),
       [this, run, index, rebinds_left,
        service_name = service.name](InvokeResult result) {
-        auto* breakers = run->options.provider_breakers;
-        const sim::SimTime now = platform_.simulator().now();
         if (result.success) {
-          if (breakers) breakers->record_success(service_name, now);
           complete_task(run, index, true);
           return;
         }
-        if (breakers) breakers->record_failure(service_name, now);
         // Fault control: remember the failed provider, re-discover, re-bind.
         run->failed_services[index].insert(service_name);
         if (rebinds_left > 0) {

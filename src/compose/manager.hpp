@@ -27,7 +27,6 @@
 #include "compose/invoke.hpp"
 #include "compose/task.hpp"
 #include "discovery/broker.hpp"
-#include "net/reliable.hpp"
 
 namespace pgrid::compose {
 
@@ -49,16 +48,12 @@ struct CompositionOptions {
   /// invoke timeouts are clamped to the remaining budget, and tasks that
   /// start past the deadline fail immediately instead of re-discovering.
   sim::SimTime deadline{};
-  /// Provider-keyed circuit breakers (null = disabled).  Open providers are
-  /// excluded from discovery results, and each invocation must be admitted;
-  /// invocation outcomes feed back as success/failure.
-  net::BreakerRegistry<std::string>* provider_breakers = nullptr;
   /// Sub-plan deduplication (the multi-query sharing layer's compose half).
   /// Identical discover sub-plans — same service class and constraint set —
   /// issued while one is in flight coalesce onto a single broker
   /// round-trip, and resolved match lists are reused for `dedup_validity`
-  /// ("resolved once per epoch").  Per-task filtering (failed providers,
-  /// open breakers) still applies to each consumer of a shared result.
+  /// ("resolved once per epoch").  Per-task filtering (failed providers)
+  /// still applies to each consumer of a shared result.
   /// Off by default (kill switch): with false, discovery traffic is
   /// byte-for-byte what it was before this option existed.
   bool dedup_discoveries = false;
@@ -74,8 +69,6 @@ struct CompositionReport {
   std::size_t rebinds = 0;        ///< fault-recovery re-bindings
   std::size_t discoveries = 0;    ///< broker round-trips
   std::size_t negotiations = 0;   ///< contract-net rounds run
-  /// Invocations rejected up-front by an open provider breaker.
-  std::size_t breaker_short_circuits = 0;
   /// Discover sub-plans served from the dedup cache or coalesced onto an
   /// in-flight lookup instead of a broker round-trip.
   std::size_t dedup_hits = 0;

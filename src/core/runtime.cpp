@@ -72,8 +72,7 @@ PervasiveGridRuntime::PervasiveGridRuntime(RuntimeConfig config,
     // enabling reliability never perturbs the fork order the deployment's
     // other streams (placement, noise, loss) were built from.
     reliable_ = std::make_unique<net::ReliableChannel>(
-        *network_, config_.reliability.channel,
-        common::Rng(config_.seed ^ 0x9E3779B97F4A7C15ULL));
+        *network_, common::Rng(config_.seed ^ 0x9E3779B97F4A7C15ULL));
     network_->set_reliable_channel(reliable_.get());
   }
 

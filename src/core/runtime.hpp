@@ -42,9 +42,6 @@ struct RuntimePending;  // pending outcomes keyed by conversation (internal)
 /// switch the acceptance gate replays).
 struct ReliabilityConfig {
   bool enabled = false;
-  /// Channel tuning: ACK sizing, per-hop attempts, backoff, window, link
-  /// breaker thresholds.
-  net::ReliableConfig channel;
   /// Default per-query delivery budget in seconds when the query carries no
   /// COST TIME clause (0 = unlimited).
   double query_budget_s = 30.0;

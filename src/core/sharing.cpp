@@ -11,7 +11,7 @@ void QuerySharing::admit(const query::CanonicalQuery& canonical,
   // Deadline-budget shedding first: an arrival whose budget cannot cover
   // even its minimum runtime can never answer in time.  Refusing it here —
   // before it holds a slot, burns per-hop retries and feeds failures into
-  // the provider breakers — is the whole point of admission control.
+  // the link breakers — is the whole point of admission control.
   if (budget.bounded() &&
       budget.remaining(sim.now()) <
           sim::SimTime::seconds(min_runtime_s)) {
@@ -85,9 +85,7 @@ bool QuerySharing::execute_shared(
     std::function<void(std::vector<partition::ActualCost>,
                        std::vector<partition::SolutionModel>)> done,
     std::function<void()>* cancel_out) {
-  if (!config_.share_trees || !canonical.shareable || epochs == 0) {
-    return false;
-  }
+  if (!canonical.shareable || epochs == 0) return false;
   ++stats_.shared_queries;
 
   sensornet::SharedTreeRegistry::Subscription sub;

@@ -37,8 +37,6 @@ struct SharingConfig {
   /// submission, execution and telemetry run bit-identically to a build
   /// without it.
   bool enabled = false;
-  /// Route shareable continuous aggregates through shared TAG trees.
-  bool share_trees = true;
   /// Admission: concurrently executing queries before arrivals queue
   /// (0 = unlimited, no queueing or shedding ever happens).
   std::size_t max_active = 0;

@@ -69,29 +69,15 @@ Fidelity FlowModel::region_fidelity(RegionId region) const {
   return it == region_fidelity_.end() ? config_.default_fidelity : it->second;
 }
 
-void FlowModel::force_packet(NodeId a, NodeId b) {
-  ++forced_packet_[Network::pair_key(a, b)];
-}
-
-void FlowModel::release_packet(NodeId a, NodeId b) {
-  auto it = forced_packet_.find(Network::pair_key(a, b));
-  if (it == forced_packet_.end()) return;
-  if (--it->second == 0) forced_packet_.erase(it);
-}
-
-bool FlowModel::packet_forced(NodeId a, NodeId b) const {
-  return !forced_packet_.empty() &&
-         forced_packet_.count(Network::pair_key(a, b)) > 0;
-}
-
 bool FlowModel::hop_eligible(NodeId a, NodeId b) const {
   if (!config_.enabled) return false;
   // An armed injector's drops/duplicates/jitter are per-transmit effects
   // the analytic tier cannot reproduce; chaos forces packet fidelity.
-  if (network_.fault_injector() != nullptr && !config_.flow_under_chaos) {
-    return false;
-  }
-  if (packet_forced(a, b)) return false;
+  if (network_.fault_injector() != nullptr) return false;
+  // An attached reliable channel makes every hop packet fidelity: per-hop
+  // ACK/retransmit semantics are exactly what the analytic tier must not
+  // approximate.
+  if (network_.reliable_channel() != nullptr) return false;
   if (region_fidelity(network_.region_of(a)) != Fidelity::kFlow) return false;
   if (region_fidelity(network_.region_of(b)) != Fidelity::kFlow) return false;
   return true;
@@ -346,7 +332,7 @@ const FlowModel::FlowPlan& FlowModel::plan_for(
   ++stats_.plan_misses;
   // Capacity is a per-version bound; one epoch of city-scale routes fits,
   // and the whole map dies at the next version bump anyway.
-  if (plans_.size() >= config_.plan_cache_capacity) plans_.clear();
+  if (plans_.size() >= kPlanCacheCapacity) plans_.clear();
   FlowPlan plan;
   plan.route = route;
   plan.viable = true;

@@ -19,11 +19,10 @@
 //     (1 + congestion_alpha * k).  The default alpha is 0 — the packet tier
 //     models links as contention-free, so zero keeps the two tiers
 //     calibrated; positive alpha adds a fidelity the packet tier never had.
-//   - Fidelity is selectable per region (through the installed ShardMap)
-//     and per link.  Packet-forced links — the ReliableChannel marks every
-//     link its in-flight transfers occupy, and an installed FaultInjector
-//     forces the whole deployment — always fall back to the packet tier,
-//     so chaos/reliability semantics stay exact where they matter.
+//   - Fidelity is selectable per region (through the installed ShardMap).
+//     An attached ReliableChannel or an installed FaultInjector forces the
+//     whole deployment to the packet tier, so reliability/chaos semantics
+//     stay exact where they matter.
 //   - Flow plans (per-hop expectations for a (src, dst, bytes) triple) are
 //     cached under the same (topology, liveness) version discipline as the
 //     RouteCache: mobility, churn, chaos installation and battery death all
@@ -61,13 +60,6 @@ struct FlowConfig {
   /// scales by (1 + congestion_alpha * concurrent flows on the link).
   /// Zero (default) is the packet-equivalent calibration point.
   double congestion_alpha = 0.0;
-  /// Allow flow-level service while a FaultInjector is installed.  Off by
-  /// default: chaos drops/duplicates/jitter are per-transmit effects the
-  /// analytic tier cannot reproduce, so an armed injector forces the whole
-  /// deployment to packet fidelity.
-  bool flow_under_chaos = false;
-  /// Cached flow plans (per-hop expectations) kept per version epoch.
-  std::size_t plan_cache_capacity = 4096;
 };
 
 /// Diagnostics for the flow tier.
@@ -110,6 +102,9 @@ class FlowModel {
     bool wireless = true;
   };
 
+  /// Cached flow plans (per-hop expectations) kept per version epoch.
+  static constexpr std::size_t kPlanCacheCapacity = 4096;
+
   FlowModel(Network& network, FlowConfig config, common::Rng rng);
 
   const FlowConfig& config() const { return config_; }
@@ -124,20 +119,9 @@ class FlowModel {
   /// Region fidelity under the overrides (default fidelity when none).
   Fidelity region_fidelity(RegionId region) const;
 
-  /// Forces a link to the packet tier while any holder needs it (counted,
-  /// so overlapping holders compose).  The ReliableChannel marks the links
-  /// of its in-flight transfers this way.
-  void force_packet(NodeId a, NodeId b);
-  void release_packet(NodeId a, NodeId b);
-  bool packet_forced(NodeId a, NodeId b) const;
-  /// Links currently held at the packet tier by at least one holder.  Every
-  /// reliable transfer releases its holds on completion, so a drained run
-  /// must read zero here — the load test's force-packet leak check.
-  std::size_t forced_link_count() const { return forced_packet_.size(); }
-
   /// May hop a->b be served analytically right now?  Requires the tier
-  /// enabled, no armed FaultInjector (unless flow_under_chaos), the link
-  /// not packet-forced, and both endpoint regions at flow fidelity.
+  /// enabled, no armed FaultInjector, no attached ReliableChannel, and both
+  /// endpoint regions at flow fidelity.
   bool hop_eligible(NodeId a, NodeId b) const;
   /// Every consecutive hop of `route` is eligible (>= 2 nodes required).
   bool route_eligible(const std::vector<NodeId>& route) const;
@@ -224,7 +208,6 @@ class FlowModel {
   common::Rng rng_;
   FlowStats stats_;
   std::unordered_map<RegionId, Fidelity> region_fidelity_;
-  std::unordered_map<std::uint64_t, std::uint32_t> forced_packet_;
   /// Active concurrent flows per link (only maintained when
   /// congestion_alpha > 0; empty otherwise).
   std::unordered_map<std::uint64_t, std::uint32_t> active_flows_;

@@ -493,8 +493,8 @@ void Network::send_route(const std::vector<NodeId>& route, std::uint64_t bytes,
     return;
   }
   // Fidelity dispatch: routes the installed flow model may serve resolve
-  // analytically in one event; ineligible routes (packet-forced links,
-  // packet-fidelity regions, armed chaos) fall through to the exact
+  // analytically in one event; ineligible routes (packet-fidelity regions,
+  // an attached reliable channel, armed chaos) fall through to the exact
   // hop-by-hop path below.
   if (flow_model_ != nullptr) {
     if (flow_model_->route_eligible(route)) {

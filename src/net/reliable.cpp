@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
-#include "net/flow.hpp"
 #include "net/routing.hpp"
 
 namespace pgrid::net {
 
-ReliableChannel::ReliableChannel(Network& network, ReliableConfig config,
-                                 common::Rng rng)
-    : network_(network),
-      config_(config),
-      rng_(rng),
-      breakers_(config.breaker) {}
+ReliableChannel::ReliableChannel(Network& network, common::Rng rng)
+    : network_(network), rng_(rng) {}
 
 void ReliableChannel::unicast(NodeId src, NodeId dst, std::uint64_t bytes,
                               Budget budget, DeliverCallback done) {
@@ -55,7 +48,7 @@ void ReliableChannel::acked_transmit(NodeId from, NodeId to,
 
 void ReliableChannel::admit_or_queue(const std::shared_ptr<Transfer>& t) {
   PairState& pair = pairs_[t->pair];
-  if (pair.in_flight >= config_.window) {
+  if (pair.in_flight >= kWindow) {
     ++stats_.queued;
     pair.waiting.push_back(t);
     return;
@@ -84,28 +77,7 @@ void ReliableChannel::begin(const std::shared_ptr<Transfer>& t) {
       return;
     }
   }
-  mark_route(t);
   hop_cycle(t);
-}
-
-void ReliableChannel::mark_route(const std::shared_ptr<Transfer>& t) {
-  unmark_route(t);
-  FlowModel* flow = network_.flow_model();
-  if (flow == nullptr) return;
-  for (std::size_t i = 0; i + 1 < t->route.size(); ++i) {
-    flow->force_packet(t->route[i], t->route[i + 1]);
-  }
-  t->forced_route = t->route;
-}
-
-void ReliableChannel::unmark_route(const std::shared_ptr<Transfer>& t) {
-  if (t->forced_route.empty()) return;
-  if (FlowModel* flow = network_.flow_model()) {
-    for (std::size_t i = 0; i + 1 < t->forced_route.size(); ++i) {
-      flow->release_packet(t->forced_route[i], t->forced_route[i + 1]);
-    }
-  }
-  t->forced_route.clear();
 }
 
 void ReliableChannel::hop_cycle(const std::shared_ptr<Transfer>& t) {
@@ -153,7 +125,7 @@ void ReliableChannel::hop_cycle(const std::shared_ptr<Transfer>& t) {
       ++stats_.duplicates_suppressed;
     }
     ++stats_.ack_frames;
-    network_.transmit(hop_to, hop_from, config_.ack_bytes,
+    network_.transmit(hop_to, hop_from, kAckBytes,
                       [this, t](bool ack_ok) {
                         const NodeId a = t->route[t->hop];
                         const NodeId b = t->route[t->hop + 1];
@@ -177,7 +149,7 @@ void ReliableChannel::hop_cycle(const std::shared_ptr<Transfer>& t) {
 
 void ReliableChannel::retry_or_abandon(const std::shared_ptr<Transfer>& t) {
   const sim::SimTime now = network_.simulator().now();
-  if (t->attempt < config_.hop_attempts) {
+  if (t->attempt < kHopAttempts) {
     const sim::SimTime delay = backoff_delay(t->attempt);
     if (!t->budget.expired(now + delay)) {
       // The scheduled retransmission inherits the active trace (this runs
@@ -203,35 +175,18 @@ void ReliableChannel::route_failed(const std::shared_ptr<Transfer>& t) {
   // Bounded budgets re-discover until the deadline (healing partitions are
   // worth waiting out); unlimited budgets cap the re-route count so a
   // permanently severed destination still terminates.
-  if (!t->budget.bounded() && t->reroutes >= config_.max_reroutes) {
+  if (!t->budget.bounded() && t->reroutes >= kMaxReroutes) {
     finish(t, false);
     return;
   }
   ++t->reroutes;
   ++stats_.reroutes;
   const NodeId at = t->hop < t->route.size() ? t->route[t->hop] : t->src;
-  // Local repair first: splice around the failed hop back onto the
-  // remaining route within repair_depth hops.  Much cheaper than the full
-  // discovery below when mobility or a single death broke one link of an
-  // otherwise healthy route.
-  if (config_.repair_depth > 0 && t->route.size() >= 2) {
-    auto spliced = splice_route(t, at, now);
-    if (!spliced.empty()) {
-      ++stats_.local_repairs;
-      t->route = std::move(spliced);
-      t->hop = 0;
-      t->attempt = 0;
-      mark_route(t);
-      hop_cycle(t);
-      return;
-    }
-  }
   auto fresh = route_avoiding_open(at, t->dst, now);
   if (!fresh.empty()) {
     t->route = std::move(fresh);
     t->hop = 0;
     t->attempt = 0;
-    mark_route(t);
     hop_cycle(t);
     return;
   }
@@ -248,22 +203,24 @@ void ReliableChannel::route_failed(const std::shared_ptr<Transfer>& t) {
 
 void ReliableChannel::finish(const std::shared_ptr<Transfer>& t,
                              bool delivered) {
-  unmark_route(t);
   if (delivered) {
     ++stats_.delivered;
   } else {
     ++stats_.failed;
   }
   if (!t->single_hop) {
-    PairState& pair = pairs_[t->pair];
+    auto it = pairs_.find(t->pair);
+    PairState& pair = it->second;
     --pair.in_flight;
-    while (pair.in_flight < config_.window && !pair.waiting.empty()) {
+    while (pair.in_flight < kWindow && !pair.waiting.empty()) {
       auto next = pair.waiting.front();
       pair.waiting.pop_front();
       ++pair.in_flight;
       network_.simulator().schedule(sim::SimTime::zero(),
                                     [this, next] { begin(next); });
     }
+    // Idle pair (nothing in flight, so nothing queued): free its state.
+    if (pair.in_flight == 0) pairs_.erase(it);
   }
   DeliverCallback done = std::move(t->done);
   if (done) done(delivered);
@@ -279,75 +236,12 @@ bool ReliableChannel::accept(const std::shared_ptr<Transfer>& t, NodeId node) {
 }
 
 sim::SimTime ReliableChannel::backoff_delay(std::size_t attempt) {
-  double base = config_.initial_backoff.to_seconds();
-  for (std::size_t i = 1; i < attempt; ++i) base *= config_.backoff_factor;
-  const double cap = config_.max_backoff.to_seconds();
+  double base = kInitialBackoff.to_seconds();
+  for (std::size_t i = 1; i < attempt; ++i) base *= kBackoffFactor;
+  const double cap = kMaxBackoff.to_seconds();
   if (base > cap) base = cap;
-  const double jitter =
-      1.0 + config_.jitter * (2.0 * rng_.uniform01() - 1.0);
+  const double jitter = 1.0 + kJitter * (2.0 * rng_.uniform01() - 1.0);
   return sim::SimTime::seconds(base * jitter);
-}
-
-std::vector<NodeId> ReliableChannel::splice_route(
-    const std::shared_ptr<Transfer>& t, NodeId at, sim::SimTime now) const {
-  if (!network_.alive(at)) return {};
-  const TopologySnapshot& snapshot = network_.topology_snapshot();
-  const std::size_t n = snapshot.size();
-  if (at >= n) return {};
-  // Candidate targets: every node still ahead on the route.  Reaching one
-  // inherits the rest of the route from there, so the repair skips the
-  // broken link (and any prefix of the remaining route it can shortcut).
-  std::unordered_map<NodeId, std::size_t> target_index;
-  for (std::size_t i = t->hop + 1; i < t->route.size(); ++i) {
-    if (t->route[i] < n) target_index.emplace(t->route[i], i);
-  }
-  if (target_index.empty()) return {};
-  // The already-traversed prefix is banned: looping back through it could
-  // only re-enter this hop, and the receivers there have already accepted
-  // the payload (re-delivery would just burn ACK frames).
-  std::unordered_set<NodeId> banned(t->route.begin(),
-                                    t->route.begin() + t->hop + 1);
-  const NodeId failed_next =
-      t->hop + 1 < t->route.size() ? t->route[t->hop + 1] : kInvalidNode;
-  std::vector<NodeId> parent(n, kInvalidNode);
-  parent[at] = at;
-  std::vector<NodeId> frontier{at};
-  std::size_t best_index = 0;
-  NodeId best_target = kInvalidNode;
-  for (std::size_t depth = 1;
-       depth <= config_.repair_depth && !frontier.empty(); ++depth) {
-    std::vector<NodeId> next;
-    for (NodeId u : frontier) {
-      for (NodeId v : snapshot.row(u)) {
-        if (parent[v] != kInvalidNode || banned.count(v)) continue;
-        // Never retake the link that just failed (its breaker may not have
-        // tripped yet); the node behind it stays reachable via others.
-        if (depth == 1 && v == failed_next) continue;
-        if (breakers_.state(link_key(u, v), now) == BreakerState::kOpen) {
-          continue;
-        }
-        parent[v] = u;
-        auto hit = target_index.find(v);
-        if (hit != target_index.end() && hit->second >= best_index) {
-          // Same depth: prefer the target furthest along the route.
-          best_index = hit->second;
-          best_target = v;
-        }
-        next.push_back(v);
-      }
-    }
-    if (best_target != kInvalidNode) break;  // minimal-depth layer found
-    frontier = std::move(next);
-  }
-  if (best_target == kInvalidNode) return {};
-  std::vector<NodeId> bridge;
-  for (NodeId v = best_target; v != at; v = parent[v]) bridge.push_back(v);
-  bridge.push_back(at);
-  std::reverse(bridge.begin(), bridge.end());
-  // bridge ends at route[best_index]; append the untouched suffix.
-  bridge.insert(bridge.end(), t->route.begin() + best_index + 1,
-                t->route.end());
-  return bridge;
 }
 
 std::vector<NodeId> ReliableChannel::route_avoiding_open(

@@ -21,10 +21,10 @@
 //     causal chain (executor -> composition -> agents -> sensornet), so
 //     retries and re-discovery stop the moment the budget is blown instead
 //     of burning energy past the point of usefulness.
-//   - BreakerRegistry: circuit breakers keyed on a link or a provider.
-//     Repeated failures open the breaker; while open, traffic short-circuits
-//     (re-routes or re-binds instead of hammering the dead resource); a
-//     deterministic half-open probe closes it after healing.
+//   - BreakerRegistry: circuit breakers keyed on a link.  Repeated failures
+//     open the breaker; while open, traffic short-circuits (re-routes
+//     instead of hammering the dead link); a deterministic half-open probe
+//     closes it after healing.
 //
 // Everything is deterministic given the channel's seed: same seed, same
 // fault schedule => bit-identical retransmit schedules and outcomes.
@@ -48,15 +48,6 @@ namespace pgrid::net {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-struct BreakerConfig {
-  /// Consecutive failures that trip a closed breaker open.
-  std::size_t failure_threshold = 3;
-  /// Cooling period after tripping; a failed half-open probe escalates it.
-  sim::SimTime open_for = sim::SimTime::seconds(4.0);
-  double open_backoff = 2.0;
-  sim::SimTime max_open_for = sim::SimTime::seconds(32.0);
-};
-
 struct BreakerStats {
   std::uint64_t opens = 0;           ///< closed->open trips + failed probes
   std::uint64_t closes = 0;          ///< successful half-open probes
@@ -64,20 +55,25 @@ struct BreakerStats {
   std::uint64_t short_circuits = 0;  ///< admissions refused while open
 };
 
-/// Circuit breakers keyed on an arbitrary resource id (a link pair key, a
-/// provider name).  Purely time-driven and deterministic: state transitions
-/// happen inside admit()/record_*() calls, never from timers.  While open,
-/// admit() refuses; once the cooling period elapses the next admit() grants
-/// exactly one half-open probe — its success closes the breaker, its
-/// failure re-opens with an escalated cooling period.
-template <typename Key>
+/// Circuit breakers keyed on a link (see link_key).  Purely time-driven and
+/// deterministic: state transitions happen inside admit()/record_*() calls,
+/// never from timers.  While open, admit() refuses; once the cooling period
+/// elapses the next admit() grants exactly one half-open probe — its
+/// success closes the breaker, its failure re-opens with an escalated
+/// cooling period.
 class BreakerRegistry {
  public:
-  explicit BreakerRegistry(BreakerConfig config = {}) : config_(config) {}
+  /// Consecutive failures that trip a closed breaker open.
+  static constexpr std::size_t kFailureThreshold = 3;
+  /// Cooling period after tripping; each failed half-open probe multiplies
+  /// it by kOpenBackoff, up to kMaxOpenFor.
+  static constexpr sim::SimTime kOpenFor = sim::SimTime::seconds(4.0);
+  static constexpr double kOpenBackoff = 2.0;
+  static constexpr sim::SimTime kMaxOpenFor = sim::SimTime::seconds(32.0);
 
   /// Non-mutating classification at `now` (open breakers past their cooling
   /// period report kHalfOpen: the next admit() would grant a probe).
-  BreakerState state(const Key& key, sim::SimTime now) const {
+  BreakerState state(std::uint64_t key, sim::SimTime now) const {
     auto it = entries_.find(key);
     if (it == entries_.end()) return BreakerState::kClosed;
     const Entry& e = it->second;
@@ -89,7 +85,7 @@ class BreakerRegistry {
 
   /// May the caller use the resource right now?  Half-open grants a single
   /// probe; further admits short-circuit until the probe resolves.
-  bool admit(const Key& key, sim::SimTime now) {
+  bool admit(std::uint64_t key, sim::SimTime now) {
     auto it = entries_.find(key);
     if (it == entries_.end()) return true;
     Entry& e = it->second;
@@ -117,7 +113,7 @@ class BreakerRegistry {
     return true;
   }
 
-  void record_success(const Key& key, sim::SimTime now) {
+  void record_success(std::uint64_t key, sim::SimTime now) {
     auto it = entries_.find(key);
     if (it == entries_.end()) return;
     Entry& e = it->second;
@@ -132,7 +128,7 @@ class BreakerRegistry {
     if (e.state == BreakerState::kClosed) e.failures = 0;
   }
 
-  void record_failure(const Key& key, sim::SimTime now) {
+  void record_failure(std::uint64_t key, sim::SimTime now) {
     Entry& e = entries_[key];
     if (e.state == BreakerState::kHalfOpen ||
         (e.state == BreakerState::kOpen && now >= e.reopen_at)) {
@@ -146,9 +142,9 @@ class BreakerRegistry {
     }
     if (e.state == BreakerState::kOpen) return;  // still cooling
     ++e.failures;
-    if (e.failures >= config_.failure_threshold) {
+    if (e.failures >= kFailureThreshold) {
       e.state = BreakerState::kOpen;
-      e.open_for = config_.open_for;
+      e.open_for = kOpenFor;
       e.reopen_at = now + e.open_for;
       ++stats_.opens;
     }
@@ -163,7 +159,6 @@ class BreakerRegistry {
   }
 
   const BreakerStats& stats() const { return stats_; }
-  void clear() { entries_.clear(); }
 
  private:
   struct Entry {
@@ -174,16 +169,14 @@ class BreakerRegistry {
     bool probe_in_flight = false;
   };
 
-  sim::SimTime escalate(sim::SimTime current) const {
-    if (current.us <= 0) return config_.open_for;
-    auto next = sim::SimTime::seconds(current.to_seconds() *
-                                      config_.open_backoff);
-    return next <= config_.max_open_for ? next : config_.max_open_for;
+  static sim::SimTime escalate(sim::SimTime current) {
+    if (current.us <= 0) return kOpenFor;
+    auto next = sim::SimTime::seconds(current.to_seconds() * kOpenBackoff);
+    return next <= kMaxOpenFor ? next : kMaxOpenFor;
   }
 
-  BreakerConfig config_;
   // Ordered map: iteration (open_count, diagnostics) is deterministic.
-  std::map<Key, Entry> entries_;
+  std::map<std::uint64_t, Entry> entries_;
   BreakerStats stats_;
 };
 
@@ -199,34 +192,6 @@ inline std::uint64_t link_key(NodeId a, NodeId b) {
 // Reliable channel
 // ---------------------------------------------------------------------------
 
-struct ReliableConfig {
-  /// Wire size of an acknowledgement frame.
-  std::uint64_t ack_bytes = 12;
-  /// Data/ACK cycles attempted per hop before the route is abandoned.
-  std::size_t hop_attempts = 5;
-  /// Exponential backoff between retransmissions of the same hop.
-  sim::SimTime initial_backoff = sim::SimTime::milliseconds(50);
-  double backoff_factor = 2.0;
-  sim::SimTime max_backoff = sim::SimTime::seconds(2.0);
-  /// Uniform jitter applied to every backoff, as a fraction (0.25 = +/-25%).
-  /// Drawn from the channel's own seeded rng: deterministic, and decorrelates
-  /// retransmit bursts from concurrent transfers.
-  double jitter = 0.25;
-  /// In-flight messages allowed per (src, dst) pair; excess sends queue.
-  std::size_t window = 4;
-  /// Route recomputations per message when the budget is unlimited (bounded
-  /// budgets instead re-route until the deadline).
-  std::size_t max_reroutes = 3;
-  /// Local route repair radius (hops).  When a hop exhausts its attempts, a
-  /// bounded-depth BFS from the current holder first tries to splice around
-  /// the dead/moved hop back onto the remaining route — directed-diffusion
-  /// style local repair — before paying a full breaker-aware rediscovery.
-  /// 0 (the default) disables repair: the reroute path is bit-identical to
-  /// the pre-repair build.
-  std::size_t repair_depth = 0;
-  BreakerConfig breaker;
-};
-
 struct ReliableStats {
   std::uint64_t messages = 0;        ///< sends accepted (unicast + acked hop)
   std::uint64_t delivered = 0;       ///< done(true) outcomes
@@ -237,7 +202,6 @@ struct ReliableStats {
   std::uint64_t retransmissions = 0;
   std::uint64_t duplicates_suppressed = 0;  ///< re-received after lost ACK
   std::uint64_t reroutes = 0;
-  std::uint64_t local_repairs = 0;   ///< reroutes resolved by a splice
   std::uint64_t queued = 0;          ///< sends deferred by the window
 };
 
@@ -254,7 +218,26 @@ class ReliableChannel {
   /// the exactly-once property.
   using DeliveryProbe = std::function<void(NodeId dst, std::uint64_t seq)>;
 
-  ReliableChannel(Network& network, ReliableConfig config, common::Rng rng);
+  /// Wire size of an acknowledgement frame.
+  static constexpr std::uint64_t kAckBytes = 12;
+  /// Data/ACK cycles attempted per hop before the route is abandoned.
+  static constexpr std::size_t kHopAttempts = 5;
+  /// Exponential backoff between retransmissions of the same hop.
+  static constexpr sim::SimTime kInitialBackoff =
+      sim::SimTime::milliseconds(50);
+  static constexpr double kBackoffFactor = 2.0;
+  static constexpr sim::SimTime kMaxBackoff = sim::SimTime::seconds(2.0);
+  /// Uniform jitter applied to every backoff, as a fraction (0.25 = +/-25%).
+  /// Drawn from the channel's own seeded rng: deterministic, and
+  /// decorrelates retransmit bursts from concurrent transfers.
+  static constexpr double kJitter = 0.25;
+  /// In-flight messages allowed per (src, dst) pair; excess sends queue.
+  static constexpr std::size_t kWindow = 4;
+  /// Route recomputations per message when the budget is unlimited (bounded
+  /// budgets instead re-route until the deadline).
+  static constexpr std::size_t kMaxReroutes = 3;
+
+  ReliableChannel(Network& network, common::Rng rng);
 
   /// Reliable unicast src -> dst: routes over the current topology, runs a
   /// data/ACK cycle per hop with backoff retransmission, re-routes around
@@ -268,13 +251,11 @@ class ReliableChannel {
   void acked_transmit(NodeId from, NodeId to, std::uint64_t bytes,
                       Budget budget, DeliverCallback done);
 
-  BreakerRegistry<std::uint64_t>& link_breakers() { return breakers_; }
-  const BreakerRegistry<std::uint64_t>& link_breakers() const {
-    return breakers_;
-  }
+  const BreakerRegistry& link_breakers() const { return breakers_; }
   const ReliableStats& stats() const { return stats_; }
-  const ReliableConfig& config() const { return config_; }
-  Network& network() { return network_; }
+  /// (src, dst) pairs holding window state — a transfer in flight or
+  /// queued.  An idle pair's state is freed, so a drained channel reads 0.
+  std::size_t window_pairs() const { return pairs_.size(); }
   void set_delivery_probe(DeliveryProbe probe) { probe_ = std::move(probe); }
 
  private:
@@ -292,9 +273,6 @@ class ReliableChannel {
     std::size_t reroutes = 0;
     bool single_hop = false;  ///< acked_transmit: fixed route, no reroute
     std::uint64_t pair = 0;   ///< window key (directed src->dst)
-    /// Links currently held packet-forced in the flow model (flow traffic
-    /// must not skim links whose ACK/retransmit semantics are in flight).
-    std::vector<NodeId> forced_route;
     /// Receivers that already accepted the payload (duplicate suppression
     /// lives and dies with the transfer).
     std::vector<NodeId> accepted;
@@ -311,11 +289,6 @@ class ReliableChannel {
   void retry_or_abandon(const std::shared_ptr<Transfer>& t);
   void route_failed(const std::shared_ptr<Transfer>& t);
   void finish(const std::shared_ptr<Transfer>& t, bool delivered);
-  /// Marks/releases the transfer's current route as packet-forced in the
-  /// installed flow model (no-ops without one).  Counted holds, so
-  /// overlapping transfers compose; re-marking first releases the old route.
-  void mark_route(const std::shared_ptr<Transfer>& t);
-  void unmark_route(const std::shared_ptr<Transfer>& t);
   /// First acceptance of the transfer at `node`?  (False => duplicate,
   /// re-ACK only.)
   bool accept(const std::shared_ptr<Transfer>& t, NodeId node);
@@ -324,19 +297,10 @@ class ReliableChannel {
   /// is open (cooling).  Deterministic: ascending-id adjacency rows.
   std::vector<NodeId> route_avoiding_open(NodeId src, NodeId dst,
                                           sim::SimTime now) const;
-  /// Local repair (ReliableConfig::repair_depth): bounded-depth BFS from
-  /// the current holder `at`, avoiding open breakers, the already-visited
-  /// route prefix and the link that just failed, targeting any node on the
-  /// remaining route (minimal depth, then the target furthest along the
-  /// route).  Returns bridge + remaining suffix, or empty when no splice
-  /// exists within the radius.
-  std::vector<NodeId> splice_route(const std::shared_ptr<Transfer>& t,
-                                   NodeId at, sim::SimTime now) const;
 
   Network& network_;
-  ReliableConfig config_;
   common::Rng rng_;
-  BreakerRegistry<std::uint64_t> breakers_;
+  BreakerRegistry breakers_;
   ReliableStats stats_;
   DeliveryProbe probe_;
   std::uint64_t next_seq_ = 1;

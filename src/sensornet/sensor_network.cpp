@@ -221,11 +221,9 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
                                            net::Budget budget) {
   // Fidelity dispatch: with a flow model installed and every tree edge
   // eligible, the whole epoch resolves analytically in one event.  Acked
-  // delivery keeps the packet path (per-hop ACK semantics are exactly what
-  // the analytic tier must not approximate), as does any tree with a
-  // packet-forced or packet-fidelity edge.
-  if (network_.reliable_channel() == nullptr &&
-      network_.flow_model() != nullptr) {
+  // delivery (FlowModel::hop_eligible) keeps the packet path, as does any
+  // tree with a packet-fidelity edge.
+  if (network_.flow_model() != nullptr) {
     net::FlowModel& flow = *network_.flow_model();
     if (flow.tree_eligible(tree())) {
       collect_tree_flow(field, std::move(done), std::move(filter));

@@ -8,8 +8,8 @@
 //  - the cost ledger conserved through per-subscriber reattribution, with
 //    no open spans and an exactly-empty kernel;
 //  - nothing leaked: no live shared-tree groups, no admission queue
-//    entries, no in-flight dedup waiters, no force-packet holds on the
-//    flow tier;
+//    entries, no in-flight dedup waiters, no window state left in the
+//    reliable channel;
 //  - sharing actually happened (epoch deliveries exceed collections run).
 #include <gtest/gtest.h>
 
@@ -196,8 +196,8 @@ void expect_drained_clean(core::PervasiveGridRuntime& runtime,
     EXPECT_EQ(sharing->active(), 0u);
     EXPECT_EQ(sharing->queue_depth(), 0u) << "leaked admission queue entries";
   }
-  if (auto* flow = runtime.flow_model()) {
-    EXPECT_EQ(flow->forced_link_count(), 0u) << "leaked force-packet holds";
+  if (auto* channel = runtime.reliable_channel()) {
+    EXPECT_EQ(channel->window_pairs(), 0u) << "leaked window state";
   }
 }
 

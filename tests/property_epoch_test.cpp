@@ -3,8 +3,7 @@
 // bit-identical to the fresh-full-rebuild oracle under seeded mobility,
 // churn, battery death, partition-heal and full chaos — and outcome-
 // identical to a run that forces a global epoch after every mutation.
-// Local route repair (ReliableConfig::repair_depth) rides along with its
-// own splice tests.
+// A reliable transfer whose next hop dies mid-flight rides along.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -217,7 +216,7 @@ TEST_P(EpochProperty, ChaosMobilityChurnStayOracleIdenticalAndExactlyOnce) {
   NodeChurn churn(net_, ids_, cconfig, common::Rng(GetParam().seed + 43));
   churn.start();
 
-  ReliableChannel channel(net_, {}, common::Rng(GetParam().seed ^ 0xEE));
+  ReliableChannel channel(net_, common::Rng(GetParam().seed ^ 0xEE));
   std::map<std::pair<NodeId, std::uint64_t>, int> accepted;
   channel.set_delivery_probe([&](NodeId dst, std::uint64_t seq) {
     ++accepted[{dst, seq}];
@@ -427,13 +426,12 @@ TEST(EpochScoping, SingleMovePatchesFewRowsAndKeepsDistantRoutes) {
 }
 
 // ---------------------------------------------------------------------------
-// Local route repair (ReliableConfig::repair_depth)
+// Rerouting around a dead hop
 // ---------------------------------------------------------------------------
 
 /// Line A-B-C-D-E at 20 m pitch (sensor radio: 25 m) plus a bypass node X
 /// adjacent to B, C and D only.  Killing C mid-flight forces the hop B->C
-/// to fail; with repair_depth >= 2 the channel must splice B-X-D locally
-/// instead of rerunning full discovery.
+/// to fail; the channel must rediscover a route through X.
 struct RepairRig {
   sim::Simulator sim;
   Network net;
@@ -457,11 +455,9 @@ struct RepairRig {
   }
 };
 
-TEST(EpochRepair, SpliceBridgesAroundDeadHopWithoutFullReroute) {
+TEST(EpochReroute, DeadHopReroutesThroughBypass) {
   RepairRig rig;
-  ReliableConfig config;
-  config.repair_depth = 2;
-  ReliableChannel channel(rig.net, config, common::Rng(5));
+  ReliableChannel channel(rig.net, common::Rng(5));
 
   // The 4-hop line wins the initial route (shorter geometric distance than
   // the bypass), so the transfer starts through C.
@@ -477,22 +473,6 @@ TEST(EpochRepair, SpliceBridgesAroundDeadHopWithoutFullReroute) {
   rig.sim.run();
 
   EXPECT_TRUE(delivered);
-  EXPECT_GE(channel.stats().local_repairs, 1u);
-}
-
-TEST(EpochRepair, DepthZeroFallsBackToFullRerouteUnchanged) {
-  RepairRig rig;
-  ReliableChannel channel(rig.net, {}, common::Rng(5));  // repair_depth = 0
-
-  bool delivered = false;
-  channel.unicast(rig.a, rig.e, 64, Budget::unlimited(),
-                  [&](bool ok) { delivered = ok; });
-  rig.sim.schedule(sim::SimTime::seconds(1e-4),
-                   [&] { rig.net.set_node_up(rig.c, false); });
-  rig.sim.run();
-
-  EXPECT_TRUE(delivered);
-  EXPECT_EQ(channel.stats().local_repairs, 0u);
   EXPECT_GE(channel.stats().reroutes, 1u);
 }
 

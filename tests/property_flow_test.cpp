@@ -285,9 +285,9 @@ TEST(FlowKillSwitch, AllPacketFidelityIsBitIdenticalToDisabled) {
 }
 
 TEST(FlowKillSwitch, ArmedChaosForcesPacketBitIdentically) {
-  // An installed FaultInjector forces the deployment to packet fidelity
-  // (flow_under_chaos off): the flow-enabled run under chaos must be
-  // bit-identical to the disabled run under the identical chaos schedule.
+  // An installed FaultInjector forces the deployment to packet fidelity:
+  // the flow-enabled run under chaos must be bit-identical to the disabled
+  // run under the identical chaos schedule.
   const auto disabled = run_witness(small_config(49, false), true);
   const auto flowing = run_witness(small_config(49, true), true);
   expect_identical(disabled, flowing, "chaos fallback vs disabled");
@@ -312,25 +312,41 @@ TEST(FlowKillSwitch, FallbacksAreCounted) {
 // ---------------------------------------------------------------------------
 // Fidelity selection mechanics.
 
-TEST(FlowFidelity, ForcePacketHoldsAreCountedAndSymmetric) {
-  core::PervasiveGridRuntime rt(small_config(16, true));
+TEST(FlowFidelity, AttachedReliableChannelForcesPacketEverywhere) {
+  // With both tiers installed, the attached channel makes every hop packet
+  // fidelity: a tree round, a deliver, and even a direct send_route (which
+  // bypasses the channel) stay off the analytic tier.
+  auto config = small_config(16, true);
+  config.reliability.enabled = true;
+  core::PervasiveGridRuntime rt(std::move(config));
+  ASSERT_NE(rt.reliable_channel(), nullptr);
   net::FlowModel& flow = *rt.flow_model();
-  const auto& ids = rt.sensors().sensors();
-  const net::NodeId a = ids[0];
-  const net::NodeId b = ids[1];
-  ASSERT_TRUE(rt.network().connected(a, b));
-  EXPECT_TRUE(flow.hop_eligible(a, b));
+  net::Network& network = rt.network();
+  const auto route = rt.sensors().tree().route_to_sink(
+      rt.sensors().sensors().back());
+  ASSERT_GE(route.size(), 2u);
+  EXPECT_FALSE(flow.route_eligible(route));
 
-  flow.force_packet(a, b);
-  flow.force_packet(b, a);  // second hold, reversed orientation
-  EXPECT_TRUE(flow.packet_forced(a, b));
-  EXPECT_TRUE(flow.packet_forced(b, a));
-  EXPECT_FALSE(flow.hop_eligible(a, b));
-  flow.release_packet(a, b);
-  EXPECT_TRUE(flow.packet_forced(a, b)) << "one hold remains";
-  flow.release_packet(b, a);
-  EXPECT_FALSE(flow.packet_forced(a, b));
-  EXPECT_TRUE(flow.hop_eligible(a, b));
+  const net::FlowStats base = flow.stats();
+  auto expect_packet = [&](const char* label, auto send) {
+    const std::uint64_t tx = network.stats().transmissions;
+    send();
+    rt.simulator().run();
+    EXPECT_GT(network.stats().transmissions, tx) << label;
+    EXPECT_EQ(flow.stats().flows, base.flows) << label;
+    EXPECT_EQ(flow.stats().tree_epochs, base.tree_epochs) << label;
+  };
+  expect_packet("tree round", [&] {
+    rt.sensors().collect_tree_aggregate(rt.field(),
+                                        [](sensornet::CollectionResult) {});
+  });
+  expect_packet("deliver", [&] {
+    network.deliver(route.front(), route.back(), 32,
+                    net::Budget::unlimited(), [](bool) {});
+  });
+  expect_packet("send_route", [&] {
+    network.send_route(route, 32, [](bool, std::size_t) {});
+  });
 }
 
 TEST(FlowFidelity, RegionOverrideGatesEligibility) {

@@ -1,8 +1,8 @@
 // Property tests for the end-to-end reliability layer (PR 5):
 //
-//  1. Determinism: the channel is a pure function of (topology, config,
-//     seed) — replaying a seed reproduces bit-identical retransmit
-//     schedules, delivery timestamps, ReliableStats, and QueryOutcome.
+//  1. Determinism: the channel is a pure function of (topology, seed) —
+//     replaying a seed reproduces bit-identical retransmit schedules,
+//     delivery timestamps, ReliableStats, and QueryOutcome.
 //  2. Exactly-once: under lossy-mesh chaos (drops, duplicates, lost ACKs)
 //     the ACK channel delivers every payload to its destination at most
 //     once, and `done` fires exactly once per send.
@@ -71,17 +71,8 @@ TEST(Budget, TightenedPicksEarlierDeadlineAndClampCapsTimeouts) {
 // Circuit breakers (property 3, unit level)
 // ---------------------------------------------------------------------------
 
-net::BreakerConfig fast_breaker() {
-  net::BreakerConfig config;
-  config.failure_threshold = 3;
-  config.open_for = sim::SimTime::seconds(4.0);
-  config.open_backoff = 2.0;
-  config.max_open_for = sim::SimTime::seconds(32.0);
-  return config;
-}
-
 TEST(Breaker, TripsOpenAtThresholdAndNeverAdmitsWhileCooling) {
-  BreakerRegistry<int> reg(fast_breaker());
+  BreakerRegistry reg;
   const sim::SimTime t0 = sim::SimTime::seconds(1.0);
   EXPECT_TRUE(reg.admit(7, t0));
   reg.record_failure(7, t0);
@@ -102,7 +93,7 @@ TEST(Breaker, TripsOpenAtThresholdAndNeverAdmitsWhileCooling) {
 }
 
 TEST(Breaker, HalfOpenGrantsSingleProbeAndSuccessCloses) {
-  BreakerRegistry<int> reg(fast_breaker());
+  BreakerRegistry reg;
   const sim::SimTime t0 = sim::SimTime::zero();
   for (int i = 0; i < 3; ++i) reg.record_failure(7, t0);
   const sim::SimTime healed = t0 + sim::SimTime::seconds(4.0);
@@ -127,7 +118,7 @@ TEST(Breaker, HalfOpenGrantsSingleProbeAndSuccessCloses) {
 }
 
 TEST(Breaker, FailedProbeEscalatesCoolingGeometrically) {
-  BreakerRegistry<int> reg(fast_breaker());
+  BreakerRegistry reg;
   sim::SimTime now = sim::SimTime::zero();
   for (int i = 0; i < 3; ++i) reg.record_failure(7, now);
 
@@ -150,7 +141,7 @@ TEST(Breaker, FailedProbeEscalatesCoolingGeometrically) {
 }
 
 TEST(Breaker, SuccessWhileClosedResetsConsecutiveFailures) {
-  BreakerRegistry<int> reg(fast_breaker());
+  BreakerRegistry reg;
   const sim::SimTime t0 = sim::SimTime::zero();
   reg.record_failure(7, t0);
   reg.record_failure(7, t0);
@@ -191,7 +182,7 @@ TEST(ReliableChannel, DeliversAcrossMultipleHops) {
   sim::Simulator sim;
   net::Network net(sim, common::Rng(99));
   auto nodes = build_mesh(net);
-  net::ReliableChannel channel(net, {}, common::Rng(5));
+  net::ReliableChannel channel(net, common::Rng(5));
 
   int delivered = 0;
   channel.unicast(nodes.front(), nodes.back(), 64, Budget::unlimited(),
@@ -210,12 +201,11 @@ TEST(ReliableChannel, WindowQueuesExcessSendsAndDrainsAll) {
   sim::Simulator sim;
   net::Network net(sim, common::Rng(99));
   auto nodes = build_mesh(net);
-  net::ReliableConfig config;
-  config.window = 1;
-  net::ReliableChannel channel(net, config, common::Rng(5));
+  net::ReliableChannel channel(net, common::Rng(5));
 
+  const int sends = static_cast<int>(net::ReliableChannel::kWindow) + 2;
   int done_count = 0;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < sends; ++i) {
     channel.unicast(nodes.front(), nodes.back(), 64, Budget::unlimited(),
                     [&](bool ok) {
                       ASSERT_TRUE(ok);
@@ -223,16 +213,17 @@ TEST(ReliableChannel, WindowQueuesExcessSendsAndDrainsAll) {
                     });
   }
   sim.run();
-  EXPECT_EQ(done_count, 3);
-  EXPECT_EQ(channel.stats().delivered, 3u);
-  EXPECT_EQ(channel.stats().queued, 2u) << "window=1 defers two of three";
+  EXPECT_EQ(done_count, sends);
+  EXPECT_EQ(channel.stats().delivered, static_cast<std::uint64_t>(sends));
+  EXPECT_EQ(channel.stats().queued, 2u) << "the window defers the last two";
+  EXPECT_EQ(channel.window_pairs(), 0u) << "a drained pair frees its state";
 }
 
 TEST(ReliableChannel, BlownBudgetFailsWithoutTraffic) {
   sim::Simulator sim;
   net::Network net(sim, common::Rng(99));
   auto nodes = build_mesh(net);
-  net::ReliableChannel channel(net, {}, common::Rng(5));
+  net::ReliableChannel channel(net, common::Rng(5));
 
   int failures = 0;
   // Deadline already in the past when the hop cycle starts.
@@ -273,7 +264,7 @@ ChaosRunResult run_chaos_scenario(std::uint64_t seed, int sends = 24) {
   chaos_config.mix = sim::ChaosMix::lossy_mesh();
   chaos.arm(chaos_config);
 
-  net::ReliableChannel channel(net, {}, common::Rng(seed ^ 0xABCD));
+  net::ReliableChannel channel(net, common::Rng(seed ^ 0xABCD));
 
   ChaosRunResult result;
   result.done_counts.assign(sends, 0);
@@ -388,7 +379,7 @@ TEST(ReliabilityProperty, OpenLinkBreakerNeverAdmitsUntilProbeSucceeds) {
   degrade.magnitude = 1.0;
   chaos.arm_schedule({degrade});
 
-  net::ReliableChannel channel(net, {}, common::Rng(5));
+  net::ReliableChannel channel(net, common::Rng(5));
 
   std::vector<bool> outcomes;
   // First send lands inside the degrade window: the b<->c hop exhausts its

@@ -200,8 +200,8 @@ class IslandSensor : public ::testing::TestWithParam<IslandCase> {
     island_ = snet_->sensors().back();
     net_.move_node(island_, {400.0, 400.0, 0.0});
     if (GetParam().acked) {
-      channel_ = std::make_unique<net::ReliableChannel>(
-          net_, net::ReliableConfig{}, common::Rng(5));
+      channel_ = std::make_unique<net::ReliableChannel>(net_,
+                                                        common::Rng(5));
       net_.set_reliable_channel(channel_.get());
     }
   }

@@ -276,8 +276,7 @@ TEST(SharingKillSwitch, DisabledMatchesDefaultConfig) {
   // the two configurations must be indistinguishable to the bit.
   auto defaults = sharing_config(16, false);
   auto explicit_off = sharing_config(16, false);
-  explicit_off.sharing.share_trees = false;  // dormant knobs change nothing
-  explicit_off.sharing.max_active = 3;
+  explicit_off.sharing.max_active = 3;  // dormant knobs change nothing
   explicit_off.sharing.max_queue = 1;
   expect_identical(run_fingerprint_suite(defaults),
                    run_fingerprint_suite(explicit_off));
