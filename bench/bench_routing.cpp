@@ -1,8 +1,11 @@
 // EXP-P7 — routing technique matters: flooding vs gossiping vs tree routes.
 // EXP-N1 — topology/routing scaling: the acceleration layer (spatial
-//          neighbour index, versioned adjacency snapshot, LRU route cache)
-//          vs the naive O(N) scan / fresh-Dijkstra path, N ∈ {100, 400,
-//          1600, 6400}.
+//          neighbour index, versioned adjacency snapshot, LRU route cache,
+//          per-destination hop tables) vs the naive O(N) scan /
+//          fresh-Dijkstra path, N ∈ {100, 400, 1600, 6400}, plus a
+//          many-to-one series (every node to the base, cold search vs hop
+//          table) and one runtime built with and without per-sensor
+//          service advertisement at the largest N.
 // EXP-N3 — incremental topology epochs under mobility: a few roaming
 //          clients perturb one corner of the field every tick while the
 //          deployment keeps asking for routes.  Delta CSR patching plus
@@ -243,6 +246,99 @@ int main(int argc, char** argv) {
                   "warm-cache route acquisition is a hash lookup + copy "
                   "regardless of N, and even cold acquisition beats naive "
                   "by sharing one CSR snapshot across the burst.");
+
+  // -------------------------------------------------------------------
+  // EXP-N1 many-to-one: every node routes to the base station, the shape
+  // of sensor -> broker advertisement and sensor -> base collection.
+  // "cold" bumps the topology version before each lookup, so every search
+  // runs without a hop table (the snapshot rebuild the bump forces is not
+  // timed); "hop table" keeps one version, so the base earns its table
+  // once searches toward it have explored n nodes
+  // (HopTables::kTriggerSweeps) and later searches are goal-directed.
+  // Beyond N=1600 the cold series samples every 4th source (each cold
+  // lookup pays an untimed snapshot rebuild).  Every sampled hop-table
+  // route must equal its cold route, and the cold routes must equal the
+  // naive oracle: for every source up to N=400, for 16 sources beyond (a
+  // naive search scans all N per expanded node).
+  common::Table many_table({"nodes", "cold us/route", "hop-table us/route",
+                            "speedup", "hop tables built", "cold sampled",
+                            "naive checked"});
+  for (std::size_t n : sweep) {
+    core::PervasiveGridRuntime runtime(bench::standard_config(n));
+    auto& net = runtime.network();
+    const net::NodeId base = runtime.sensors().base_station();
+    const std::size_t nodes = net.size();
+    const std::size_t cold_stride = n > 1600 ? 4 : 1;
+    const std::size_t naive_stride = n <= 400 ? 1 : nodes / 16;
+    std::vector<std::vector<net::NodeId>> cold_routes(nodes);
+    double cold_s = 0.0;
+    std::size_t cold_sampled = 0;
+    std::size_t naive_checked = 0;
+    for (net::NodeId src = 0; src < nodes; src += cold_stride) {
+      net.bump_topology_version();
+      net.topology_snapshot();  // untimed rebuild
+      const auto t0 = std::chrono::steady_clock::now();
+      cold_routes[src] = net::shortest_path(net, src, base);
+      cold_s += seconds_since(t0);
+      ++cold_sampled;
+      if (src % naive_stride == 0) {
+        ++naive_checked;
+        if (cold_routes[src] != net::shortest_path_naive(net, src, base)) {
+          oracle_ok = false;
+        }
+      }
+    }
+    const std::uint64_t built_before = net.topology_stats().hop_tables_built;
+    std::vector<std::vector<net::NodeId>> table_routes(nodes);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (net::NodeId src = 0; src < nodes; ++src) {
+      table_routes[src] = net::shortest_path(net, src, base);
+    }
+    const double table_s = seconds_since(t0);
+    for (net::NodeId src = 0; src < nodes; src += cold_stride) {
+      if (table_routes[src] != cold_routes[src]) oracle_ok = false;
+    }
+    const double cold_us = cold_s * 1e6 / double(cold_sampled);
+    const double table_us = table_s * 1e6 / double(nodes);
+    many_table.add_row(
+        {common::Table::num(std::uint64_t(nodes)),
+         common::Table::num(cold_us, 2), common::Table::num(table_us, 2),
+         common::Table::num(cold_us / table_us, 1),
+         common::Table::num(net.topology_stats().hop_tables_built -
+                            built_before),
+         common::Table::num(std::uint64_t(cold_sampled)),
+         common::Table::num(std::uint64_t(naive_checked))});
+  }
+  experiment.series("many-to-one-routes", many_table);
+  experiment.note("EXP-N1 many-to-one shape check: a cold search toward the "
+                  "base explores every node within the route's hop count, "
+                  "so its cost grows with N; once the base has its hop table "
+                  "a lookup expands only min-hop path nodes, one table per "
+                  "run, with routes identical to the cold search.");
+
+  // The advertisement finding: one runtime built with one sensing service
+  // advertised per sensor (1 route per sensor to the broker) against the
+  // same runtime without, at the sweep's largest size.
+  common::Table advertise_table({"nodes", "advertised setup s",
+                                 "plain setup s", "hop tables built"});
+  {
+    const std::size_t n = sweep.back();
+    double seconds[2] = {0.0, 0.0};
+    std::uint64_t tables = 0;
+    for (int on = 1; on >= 0; --on) {
+      auto config = bench::standard_config(n);
+      config.advertise_sensor_services = on == 1;
+      const auto t0 = std::chrono::steady_clock::now();
+      core::PervasiveGridRuntime runtime(config);
+      seconds[on] = seconds_since(t0);
+      if (on == 1) tables = runtime.network().topology_stats().hop_tables_built;
+    }
+    advertise_table.add_row({common::Table::num(std::uint64_t(n)),
+                             common::Table::num(seconds[1], 3),
+                             common::Table::num(seconds[0], 4),
+                             common::Table::num(tables)});
+  }
+  experiment.series("advertised-setup", advertise_table);
 
   // -------------------------------------------------------------------
   // EXP-N3: incremental topology epochs under mobility.

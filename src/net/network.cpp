@@ -165,6 +165,11 @@ const TopologySnapshot& Network::topology_snapshot() const {
   return snapshot_;
 }
 
+const TopologyStats& Network::topology_stats() const {
+  topo_stats_.hop_tables_built = hop_tables_.built();
+  return topo_stats_;
+}
+
 // ---------------------------------------------------------------------------
 // Incremental topology epochs (DESIGN.md S26).  Mutators accumulate the set
 // of adjacency rows a change can affect; the delta is applied lazily at the
@@ -321,28 +326,11 @@ void Network::patch_snapshot(const std::vector<NodeId>& dirty) const {
 
 void Network::refresh_dirty_distance(const std::vector<NodeId>& dirty) const {
   const std::size_t n = nodes_.size();
-  bfs_dist_.assign(n, RouteCache::kUnreachable);
   if (dirty_flag_.size() < n) dirty_flag_.resize(n, 0);
-  bfs_queue_.clear();
-  for (NodeId d : dirty) {
-    dirty_flag_[d] = 1;
-    bfs_dist_[d] = 0;
-    bfs_queue_.push_back(d);
-  }
-  // Rows are symmetric (connected() is), so a forward BFS from the dirty
-  // set yields every node's hop distance TO it.  Dead dirty nodes have
-  // empty rows and simply do not expand — correct, since no fresh route
-  // can run through them.
-  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-    const NodeId at = bfs_queue_[head];
-    const std::uint32_t next = bfs_dist_[at] + 1;
-    for (NodeId peer : snapshot_.row(at)) {
-      if (bfs_dist_[peer] == RouteCache::kUnreachable) {
-        bfs_dist_[peer] = next;
-        bfs_queue_.push_back(peer);
-      }
-    }
-  }
+  for (NodeId d : dirty) dirty_flag_[d] = 1;
+  // Dead dirty nodes have empty rows and simply do not expand — correct,
+  // since no fresh route can run through them.
+  bfs_hop_counts(snapshot_, dirty, bfs_dist_, bfs_queue_);
 }
 
 void Network::bump_topology_version() {

@@ -64,8 +64,8 @@ struct Node {
 };
 
 /// Diagnostics for the topology acceleration layer (spatial index,
-/// adjacency snapshot, incremental epochs); route-cache counters live on
-/// the RouteCache.
+/// adjacency snapshot, incremental epochs, hop tables); route-cache
+/// counters live on the RouteCache.
 struct TopologyStats {
   std::uint64_t neighbor_queries = 0;  ///< indexed neighbors() calls
   std::uint64_t snapshot_builds = 0;   ///< lazy full CSR rebuilds (per version)
@@ -73,6 +73,7 @@ struct TopologyStats {
   std::uint64_t rows_patched = 0;      ///< adjacency rows rewritten by patches
   std::uint64_t scoped_epochs = 0;     ///< pending deltas applied scoped
   std::uint64_t global_epochs = 0;     ///< pending deltas widened to a rebuild
+  std::uint64_t hop_tables_built = 0;  ///< goal-directed search tables built
 };
 
 /// Retired knob: incremental topology epochs (DESIGN.md S26) are the only
@@ -220,6 +221,11 @@ class Network {
   /// Mutable through a const network: caching never changes answers.
   RouteCache& route_cache() const { return route_cache_; }
 
+  /// The deployment's per-destination hop tables, which shortest_path()
+  /// uses to search toward hot destinations.  Mutable through a const
+  /// network for the same reason as route_cache().
+  HopTables& hop_tables() const { return hop_tables_; }
+
   /// The link class a transmission a->b would use (wired link preferred).
   std::optional<LinkClass> link_between(NodeId a, NodeId b) const;
 
@@ -340,7 +346,7 @@ class Network {
   void set_max_retries(std::size_t retries) { max_retries_ = retries; }
 
   const NetworkStats& stats() const { return stats_; }
-  const TopologyStats& topology_stats() const { return topo_stats_; }
+  const TopologyStats& topology_stats() const;
   const SpatialGrid& spatial_grid() const { return grid_; }
   /// Clears aggregate stats, per-node counters, and the cost ledger.
   void reset_stats();
@@ -440,6 +446,7 @@ class Network {
   mutable TopologySnapshot snapshot_;
   mutable bool snapshot_built_ = false;
   mutable RouteCache route_cache_;
+  mutable HopTables hop_tables_;
   mutable std::vector<NodeId> scratch_;  ///< candidate buffer (single-threaded)
   mutable TopologyStats topo_stats_;
 

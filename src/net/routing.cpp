@@ -21,15 +21,32 @@ constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 /// thread-local and reused: a lookup allocates only its result, and it
 /// resets only the entries the previous lookup touched (a member-to-head
 /// search reaches a few dozen nodes of thousands), so its cost follows the
-/// explored region rather than the network size.
+/// explored region rather than the network size.  `explored` receives the
+/// number of nodes the search reached.
+///
+/// With a hop table (`hop_to`, hop counts to dst; see HopTables) the search
+/// is goal-directed: it relaxes at->to only when hop_to[to] + 1 ==
+/// hop_to[at], and a source the table cannot reach answers {} at once.  The
+/// route is unchanged.  Let H = hop_to[src].  Hop distance changes by at
+/// most one per edge, so a node v reached in k hops with hop_to[v] = H - k
+/// is on a min-hop src->dst path, and so is every level-(k-1) node that can
+/// relax it (its hop_to is at most H - k + 1 and at least H - (k - 1)).
+/// Those predecessors pass the filter, by induction carry the same `best`,
+/// and keep their (distance, node) rank within the smaller level, so
+/// `best` and `prev` along dst's route — ties included — match the full
+/// search.
 template <typename ForEachEdge>
 std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
+                             const std::uint32_t* hop_to,
+                             std::size_t& explored,
                              ForEachEdge&& for_each_edge) {
+  explored = 0;
   const std::size_t n = network.size();
   if (src >= n || dst >= n || !network.alive(src) || !network.alive(dst)) {
     return {};
   }
   if (src == dst) return {src};
+  if (hop_to && hop_to[src] == kUnreachableHops) return {};
 
   using Cost = std::pair<std::size_t, double>;
   using Entry = std::pair<double, NodeId>;  // (distance, node) in a level
@@ -58,6 +75,9 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
     for (const auto& [dist, at] : level) {
       if (Cost{hops, dist} > best[at]) continue;  // superseded entry
       for_each_edge(at, [&](NodeId to, double d) {
+        // Widened so an unreachable entry (kUnreachableHops) plus one
+        // cannot wrap onto a real hop count.
+        if (hop_to && std::uint64_t{hop_to[to]} + 1 != hop_to[at]) return;
         const Cost candidate{hops + 1, dist + d};
         if (candidate < best[to]) {
           if (best[to] == kUnset) touched.push_back(to);
@@ -69,6 +89,7 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
     }
     level.swap(next);
   }
+  explored = touched.size();
 
   if (best[dst].first == kUnreachable) return {};
   std::vector<NodeId> route;
@@ -86,20 +107,31 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
 std::vector<NodeId> shortest_path(const Network& network, NodeId src,
                                   NodeId dst) {
   const TopologySnapshot& topo = network.topology_snapshot();
-  return dijkstra(network, src, dst, [&topo](NodeId at, auto&& visit) {
-    const auto row = topo.row(at);
-    const auto dist = topo.row_distance(at);
-    for (std::size_t i = 0; i < row.size(); ++i) visit(row[i], dist[i]);
-  });
+  HopTables& tables = network.hop_tables();
+  const std::uint32_t* hop_to = tables.find(topo, dst);
+  std::size_t explored = 0;
+  auto route = dijkstra(network, src, dst, hop_to, explored,
+                        [&topo](NodeId at, auto&& visit) {
+                          const auto row = topo.row(at);
+                          const auto dist = topo.row_distance(at);
+                          for (std::size_t i = 0; i < row.size(); ++i) {
+                            visit(row[i], dist[i]);
+                          }
+                        });
+  if (!hop_to) tables.note_search(dst, explored);
+  return route;
 }
 
 std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
                                         NodeId dst) {
-  return dijkstra(network, src, dst, [&network](NodeId at, auto&& visit) {
-    for (NodeId next : network.neighbors_naive(at)) {
-      visit(next, distance(network.node(at).pos, network.node(next).pos));
-    }
-  });
+  std::size_t explored = 0;
+  return dijkstra(network, src, dst, nullptr, explored,
+                  [&network](NodeId at, auto&& visit) {
+                    for (NodeId next : network.neighbors_naive(at)) {
+                      visit(next, distance(network.node(at).pos,
+                                           network.node(next).pos));
+                    }
+                  });
 }
 
 std::vector<NodeId> cached_shortest_path(const Network& network, NodeId src,

@@ -22,6 +22,9 @@ namespace pgrid::net {
 /// Iterates the network's shared TopologySnapshot (CSR adjacency built
 /// lazily once per topology/liveness version) instead of re-deriving
 /// connectivity per expanded node.
+/// Toward a destination that earlier lookups have made hot, the search is
+/// goal-directed through the network's HopTables: it expands only nodes on
+/// a min-hop path, with the identical answer.
 std::vector<NodeId> shortest_path(const Network& network, NodeId src,
                                   NodeId dst);
 

@@ -249,4 +249,92 @@ void RouteCache::insert(NodeId src, NodeId dst,
   }
 }
 
+void bfs_hop_counts(const TopologySnapshot& topo,
+                    std::span<const NodeId> sources,
+                    std::vector<std::uint32_t>& hops,
+                    std::vector<NodeId>& queue) {
+  hops.assign(topo.size(), kUnreachableHops);
+  queue.clear();
+  for (NodeId source : sources) {
+    hops[source] = 0;
+    queue.push_back(source);
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId at = queue[head];
+    const std::uint32_t next = hops[at] + 1;
+    for (NodeId peer : topo.row(at)) {
+      if (hops[peer] != kUnreachableHops) continue;
+      hops[peer] = next;
+      queue.push_back(peer);
+    }
+  }
+}
+
+void HopTables::sync(const TopologySnapshot& topo) {
+  if (has_version_ && topology_version_ == topo.topology_version &&
+      liveness_version_ == topo.liveness_version) {
+    return;
+  }
+  // Reset only what the previous version touched: the flat per-node
+  // arrays stay allocated, so a version change costs O(tables + counted).
+  for (Table& table : tables_) {
+    if (table.dst == kInvalidNode) continue;
+    slot_[table.dst] = kNoSlot;
+    table.dst = kInvalidNode;
+  }
+  for (NodeId dst : counted_) explored_[dst] = 0;
+  counted_.clear();
+  if (slot_.size() < topo.size()) {
+    slot_.resize(topo.size(), kNoSlot);
+    explored_.resize(topo.size(), 0);
+  }
+  topology_version_ = topo.topology_version;
+  liveness_version_ = topo.liveness_version;
+  has_version_ = true;
+}
+
+const std::uint32_t* HopTables::find(const TopologySnapshot& topo,
+                                     NodeId dst) {
+  sync(topo);
+  if (dst >= topo.size()) return nullptr;
+  if (slot_[dst] != kNoSlot) {
+    Table& table = tables_[slot_[dst]];
+    table.last_used = ++clock_;
+    return table.hop_to.data();
+  }
+  if (explored_[dst] < kTriggerSweeps * topo.size()) return nullptr;
+  // A free slot if there is one, else the least recently used table.
+  Table* victim = &tables_[0];
+  for (Table& table : tables_) {
+    if (table.dst == kInvalidNode) {
+      victim = &table;
+      break;
+    }
+    if (table.last_used < victim->last_used) victim = &table;
+  }
+  if (victim->dst != kInvalidNode) {
+    slot_[victim->dst] = kNoSlot;
+    explored_[victim->dst] = 0;  // an evicted destination earns anew
+  }
+  ++built_;
+  victim->dst = dst;
+  victim->last_used = ++clock_;
+  bfs_hop_counts(topo, std::span<const NodeId>(&dst, 1), victim->hop_to,
+                 queue_);
+  slot_[dst] = static_cast<std::uint8_t>(victim - tables_.data());
+  return victim->hop_to.data();
+}
+
+void HopTables::note_search(NodeId dst, std::size_t explored) {
+  if (dst >= explored_.size() || explored == 0) return;
+  if (explored_[dst] == 0) counted_.push_back(dst);
+  explored_[dst] += explored;
+}
+
+std::size_t HopTables::size() const {
+  std::size_t live = 0;
+  for (const Table& table : tables_) live += table.dst != kInvalidNode;
+  return live;
+}
+
 }  // namespace pgrid::net

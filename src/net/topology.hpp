@@ -6,7 +6,7 @@
 // message pays for topology questions: who is in radio range, what is the
 // route, is the mesh partitioned.  Asked naively those cost O(N) per
 // neighbour query and O(N^2) per route, the quadratic floor under every
-// large sweep.  Three structures remove it:
+// large sweep.  Four structures remove it:
 //
 //  - SpatialGrid: an incremental spatial hash over wireless node positions
 //    (cell size = the largest radio range seen), updated in place by
@@ -20,6 +20,10 @@
 //  - RouteCache: a bounded LRU of shortest-path results, valid for exactly
 //    one (topology, liveness) version pair, so message bursts between the
 //    same endpoints amortize one Dijkstra.
+//  - HopTables: a bounded set of BFS hop-count tables toward hot
+//    destinations, so many-to-one lookups (sensor -> broker, member ->
+//    head) search only the nodes on a min-hop path instead of the whole
+//    ball around the source.
 //
 // None of these structures draws randomness or changes answers: they are
 // exact accelerators over Network::connected(), and the property suite
@@ -27,6 +31,7 @@
 // scan / fresh-Dijkstra oracles under mobility, churn and chaos.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <list>
@@ -129,6 +134,20 @@ struct TopologySnapshot {
   }
 };
 
+/// Hop-count sentinel of bfs_hop_counts(): reached from no source.
+inline constexpr std::uint32_t kUnreachableHops =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Breadth-first hop counts over `topo`'s rows from the nearest of
+/// `sources`: `hops` gets topo.size() entries, kUnreachableHops where no
+/// source is reached.  Rows are symmetric (connected() is), so the counts
+/// are equally every node's distance TO its nearest source.  `queue` is
+/// caller-owned scratch.
+void bfs_hop_counts(const TopologySnapshot& topo,
+                    std::span<const NodeId> sources,
+                    std::vector<std::uint32_t>& hops,
+                    std::vector<NodeId>& queue);
+
 /// Bounded LRU cache of shortest-path results, keyed by (src, dst) and
 /// valid for exactly one (topology, liveness) version pair.  On a scoped
 /// topology epoch (DESIGN.md S26) the network calls advance_epoch() with
@@ -176,8 +195,7 @@ class RouteCache {
   ///    the dirty set (a path can only have appeared through changed rows).
   /// If the cache's versions do not match `from` (a missed epoch), the
   /// whole cache is cleared, as after a global epoch.
-  static constexpr std::uint32_t kUnreachable =
-      std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint32_t kUnreachable = kUnreachableHops;
   void advance_epoch(std::uint64_t from_topology, std::uint64_t from_liveness,
                      std::uint64_t to_topology, std::uint64_t to_liveness,
                      const std::vector<char>& dirty_flag,
@@ -207,6 +225,62 @@ class RouteCache {
   LruList lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, LruList::iterator> map_;
   Stats stats_;
+};
+
+/// Per-destination hop tables for goal-directed route search (DESIGN.md
+/// S2).  A table toward `dst` holds hop_to[v], the hop count from every
+/// node v to dst: bfs_hop_counts() from dst.  Tables are valid for exactly
+/// one (topology, liveness) version pair; any version change drops them
+/// all.
+///
+/// A destination earns its table once unpruned searches toward it have
+/// together explored kTriggerSweeps × n nodes: the BFS costs about n node
+/// visits, so a table is only paid for after the searches it replaces have
+/// already spent that much.  At most kCapacity tables are live, least
+/// recently used evicted first; an evicted destination starts earning from
+/// zero again.  Both rules are constants.
+class HopTables {
+ public:
+  static constexpr std::size_t kCapacity = 8;
+  static constexpr std::size_t kTriggerSweeps = 1;
+
+  /// hop_to[] toward `dst` at `topo`'s versions (topo.size() entries,
+  /// kUnreachableHops where disconnected), building it if dst has earned
+  /// one; nullptr otherwise.  Valid until the next find() call.
+  const std::uint32_t* find(const TopologySnapshot& topo, NodeId dst);
+
+  /// Books `explored` nodes visited by an unpruned search toward `dst` at
+  /// the versions of the last find().
+  void note_search(NodeId dst, std::size_t explored);
+
+  /// Tables built so far (every build, including rebuilds after eviction
+  /// or a version change).
+  std::uint64_t built() const { return built_; }
+  /// Tables live at the current versions (at most kCapacity).
+  std::size_t size() const;
+
+ private:
+  static constexpr std::uint8_t kNoSlot = 0xff;
+  static_assert(kCapacity < kNoSlot);
+
+  struct Table {
+    NodeId dst = kInvalidNode;  ///< kInvalidNode: slot free
+    std::uint64_t last_used = 0;
+    std::vector<std::uint32_t> hop_to;
+  };
+
+  void sync(const TopologySnapshot& topo);
+
+  std::uint64_t topology_version_ = 0;
+  std::uint64_t liveness_version_ = 0;
+  bool has_version_ = false;
+  std::array<Table, kCapacity> tables_;
+  std::vector<std::uint8_t> slot_;     ///< per node: tables_ index or kNoSlot
+  std::vector<std::size_t> explored_;  ///< per node: unpruned search nodes
+  std::vector<NodeId> counted_;        ///< nodes whose explored_ may be != 0
+  std::vector<NodeId> queue_;          ///< BFS scratch
+  std::uint64_t clock_ = 0;
+  std::uint64_t built_ = 0;
 };
 
 }  // namespace pgrid::net

@@ -2,6 +2,8 @@
 // every topology, seed and deployment shape (parameterized sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <queue>
 #include <tuple>
@@ -11,6 +13,7 @@
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "net/routing.hpp"
+#include "sim/chaos.hpp"
 #include "sim/simulator.hpp"
 
 namespace pgrid::net {
@@ -235,6 +238,114 @@ TEST_P(NetProperty, NeighborRelationIsSymmetric) {
   }
 }
 
+TEST_P(NetProperty, DstMajorSweepMatchesHeapDijkstraThroughHopTables) {
+  // Many-to-one traffic (sensor -> broker, member -> head) makes a
+  // destination hot, and later lookups toward it search only min-hop path
+  // nodes.  Route every source to a few fixed destinations, through every
+  // way the tables can go stale, and hold each route to the reference.
+  NodeConfig far_config;
+  far_config.radio = LinkClass::sensor_radio();
+  far_config.pos = {-1000.0, -1000.0, 0.0};
+  const NodeId island = net_.add_node(far_config);  // no neighbours at all
+  std::vector<NodeId> srcs = ids_;
+  srcs.push_back(island);
+
+  const auto built = [this] { return net_.topology_stats().hop_tables_built; };
+  auto sweep = [&](const std::vector<NodeId>& dsts, const char* phase) {
+    for (NodeId dst : dsts) {
+      for (NodeId src : srcs) {
+        const auto route = shortest_path(net_, src, dst);
+        if (!net_.alive(src) || !net_.alive(dst)) {
+          // The reference ignores liveness at src == dst; a dead endpoint
+          // has no route.
+          EXPECT_TRUE(route.empty()) << phase << ": " << src << " -> " << dst;
+          continue;
+        }
+        EXPECT_EQ(route, heap_dijkstra(net_, src, dst))
+            << phase << ": " << src << " -> " << dst;
+      }
+    }
+    EXPECT_LE(net_.hop_tables().size(), HopTables::kCapacity);
+  };
+  const std::vector<NodeId> hot = {ids_[0], ids_[ids_.size() / 2],
+                                   ids_.back()};
+
+  std::uint64_t before = built();
+  sweep(hot, "fresh");
+  EXPECT_GT(built(), before) << "a dst-major sweep must build hop tables";
+
+  // The island has no path to anything: its tables say so, and the lookup
+  // answers empty from the table alone.
+  const TopologySnapshot& topo = net_.topology_snapshot();
+  const std::uint32_t* hop_to = net_.hop_tables().find(topo, hot.front());
+  ASSERT_NE(hop_to, nullptr);
+  EXPECT_EQ(hop_to[island], kUnreachableHops);
+  EXPECT_TRUE(shortest_path(net_, island, hot.front()).empty());
+
+  // A destination dies of battery exhaustion after its table was built
+  // (liveness bump): every route to it must come back empty.
+  const NodeId victim = hot[1];
+  const std::uint64_t liveness = net_.liveness_version();
+  net_.drain_energy(victim, net_.node(victim).energy.capacity() + 1.0);
+  ASSERT_GT(net_.liveness_version(), liveness);
+  before = built();
+  sweep(hot, "after death");
+  EXPECT_GT(built(), before) << "surviving hot dsts must rebuild";
+  for (NodeId src : ids_) {
+    EXPECT_TRUE(shortest_path(net_, src, victim).empty());
+  }
+
+  // A relay moves after the tables were built (topology bump).
+  const NodeId mover = ids_[ids_.size() / 3];
+  const Vec3 at = net_.node(mover).pos;
+  net_.move_node(mover, Vec3{at.x + 9.0, at.y + 4.0, at.z});
+  before = built();
+  sweep(hot, "after move");
+  EXPECT_GT(built(), before);
+
+  // More hot destinations than the cap: two passes force evictions, and an
+  // evicted destination must earn and build its table again.
+  std::vector<NodeId> many;
+  const std::size_t many_count = HopTables::kCapacity + 3;
+  for (std::size_t i = 0; i < many_count; ++i) {
+    many.push_back(ids_[i * ids_.size() / many_count]);
+  }
+  sweep(many, "over cap, pass 1");
+  before = built();
+  sweep(many, "over cap, pass 2");
+  EXPECT_GT(built(), before) << "evicted tables must be rebuilt";
+}
+
+TEST_P(NetProperty, SnapshotRowsStaySymmetricUnderChaos) {
+  // The hop tables (a BFS from dst read as distances TO dst) and SinkTree
+  // both rely on symmetric rows.  Hold that with a live partition cut and
+  // a blackout installed through the fault injector.
+  sim::ChaosEngine engine(net_, GetParam().seed);
+  sim::Fault cut;
+  cut.kind = sim::FaultKind::kPartition;
+  cut.duration = sim::SimTime::seconds(10.0);
+  cut.group.assign(ids_.begin(), ids_.begin() + ids_.size() / 3);
+  sim::Fault blackout;
+  blackout.kind = sim::FaultKind::kBlackout;
+  blackout.duration = sim::SimTime::seconds(10.0);
+  blackout.node = ids_[ids_.size() / 2];
+  engine.arm_schedule({cut, blackout});
+  sim_.run_until(sim::SimTime::seconds(1.0));
+  ASSERT_EQ(engine.active_count(), 2u);
+
+  const TopologySnapshot& topo = net_.topology_snapshot();
+  EXPECT_TRUE(topo.row(blackout.node).empty());
+  for (NodeId a : ids_) {
+    for (NodeId b : topo.row(a)) {
+      const auto back = topo.row(b);
+      EXPECT_TRUE(std::binary_search(back.begin(), back.end(), a))
+          << a << " -> " << b << " has no reverse edge";
+      EXPECT_FALSE(engine.severed(a, b));
+    }
+  }
+  sim_.run();
+}
+
 TEST(ShortestPathReuse, InterleavedNetworksOfDifferentSizesMatchReference) {
   // shortest_path keeps its search state per thread and resets only what
   // the previous lookup touched.  Alternate one thread between a large and
@@ -265,15 +376,30 @@ TEST(ShortestPathReuse, InterleavedNetworksOfDifferentSizesMatchReference) {
             << "large " << large_ids[s] << " -> " << dst;
       }
     }
+    // Many-to-one toward one base: the large network builds a hop table and
+    // then searches goal-directed with the same thread-local state.
+    for (NodeId src : large_ids) {
+      EXPECT_EQ(shortest_path(large, src, large_ids[50]),
+                heap_dijkstra(large, src, large_ids[50]))
+          << "large " << src << " -> " << large_ids[50];
+    }
   };
   check_large();
   EXPECT_TRUE(shortest_path(large, large_ids[0], large_ids.back()).empty());
+  EXPECT_GT(large.topology_stats().hop_tables_built, 0u);
+  const auto base_table_live = [&] {
+    return large.hop_tables().find(large.topology_snapshot(),
+                                   large_ids[50]) != nullptr;
+  };
+  ASSERT_TRUE(base_table_live());
   for (NodeId src : small_ids) {
     for (NodeId dst : small_ids) {
       EXPECT_EQ(shortest_path(small, src, dst), heap_dijkstra(small, src, dst))
           << "small " << src << " -> " << dst;
     }
   }
+  EXPECT_TRUE(base_table_live())
+      << "the large network's tables must stay live across the small sweep";
   check_large();
 }
 
