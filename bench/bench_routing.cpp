@@ -14,7 +14,12 @@
 //          faster than a global-flush baseline that forces a global epoch
 //          (full CSR rebuild + wholesale cache clear) every round, at
 //          N=1600 (>= 2x at the --quick smoke size) — both gated in the
-//          exit code.
+//          exit code.  A walker sweep (3/16/64 walkers roaming the whole
+//          floor) reports rows patched per move, and two cap series time a
+//          scoped epoch against a full rebuild as its dirty set grows
+//          (forced k rows) and as a growing share of the deployment
+//          teleports in one epoch: the measurements behind the
+//          Network::kPatchCapDivisor and kAccumulationCapFactor caps.
 //
 // "The data routing technique used in the network would not be the same for
 // all networks. A particular network may use flooding technique to route
@@ -31,6 +36,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -351,23 +357,34 @@ int main(int argc, char** argv) {
     std::uint64_t rows_patched = 0;
     std::uint64_t moves = 0;
     bool oracle_ok = true;
+    double rows_per_move() const {
+      return moves == 0 ? 0.0 : double(rows_patched) / double(moves);
+    }
   };
   std::size_t n3_sink = 0;
-  auto run_mobility_mode = [&](std::size_t n, bool global_flush,
+  // `walker_count` sensors walk; `whole_field` false keeps the first few in
+  // one corner patch, true spreads them over the floor and lets each roam
+  // all of it (the mobile-failover shape).
+  auto run_mobility_mode = [&](std::size_t n, std::size_t walker_count,
+                               bool whole_field, bool global_flush,
                                bool check_oracle) {
     MobilityResult out;
     core::PervasiveGridRuntime runtime(bench::standard_config(n));
     auto& net = runtime.network();
     auto& sim = runtime.simulator();
     const auto sensors = runtime.sensors().sensors();
-    // The paper's mobile clients: a few walkers roaming one corner patch
-    // of the floor, not the whole field teleporting at once.  Everything
-    // else stands still, so most cached routes have no business dying.
-    std::vector<net::NodeId> walkers(
-        sensors.begin(),
-        sensors.begin() + std::min<std::size_t>(sensors.size(), 3));
+    // The paper's mobile clients: walkers roaming among stationary sensors,
+    // not the whole field teleporting at once.  Everything else stands
+    // still, so most cached routes have no business dying.
+    walker_count = std::min(walker_count, sensors.size());
+    std::vector<net::NodeId> walkers;
+    for (std::size_t i = 0; i < walker_count; ++i) {
+      walkers.push_back(
+          sensors[whole_field ? i * sensors.size() / walker_count : i]);
+    }
     net::WaypointConfig wconfig;
-    wconfig.width_m = runtime.config().sensors.width_m * 0.15;
+    wconfig.width_m =
+        runtime.config().sensors.width_m * (whole_field ? 1.0 : 0.15);
     wconfig.height_m = wconfig.width_m;
     wconfig.min_speed_m_s = 1.0;
     wconfig.max_speed_m_s = 2.0;
@@ -468,11 +485,12 @@ int main(int argc, char** argv) {
 
   common::Table mobility_table({"nodes", "mode", "us/route", "hit rate",
                                 "survival", "scoped epochs", "global epochs",
-                                "rows patched", "moves", "speedup", "gate"});
+                                "rows patched", "moves", "rows/move",
+                                "speedup", "gate"});
   bool n3_ok = true;
   for (std::size_t n : sweep) {
-    const MobilityResult base = run_mobility_mode(n, true, false);
-    const MobilityResult incr = run_mobility_mode(n, false, true);
+    const MobilityResult base = run_mobility_mode(n, 3, false, true, false);
+    const MobilityResult incr = run_mobility_mode(n, 3, false, false, true);
     n3_ok = n3_ok && incr.oracle_ok;
     const double speedup = base.us_per_route / incr.us_per_route;
     // The perf gate binds at the sweep's largest shared size: N=1600 full
@@ -497,6 +515,7 @@ int main(int argc, char** argv) {
            common::Table::num(mode->global_epochs),
            common::Table::num(mode->rows_patched),
            common::Table::num(mode->moves),
+           common::Table::num(mode->rows_per_move(), 1),
            mode == &incr ? common::Table::num(speedup, 1) : "-",
            mode == &incr ? gate : "-"});
     }
@@ -508,6 +527,245 @@ int main(int argc, char** argv) {
                   "of adjacency rows per epoch, while the global-flush "
                   "baseline rebuilds the snapshot and recomputes every "
                   "route each tick; answers are bit-identical either way.");
+
+  // EXP-N3 walker sweep: more walkers spread over the whole floor, each
+  // roaming all of it.  A move dirties only the rows within radio reach of
+  // the walker's old and new position (DESIGN.md S26), so the batched
+  // epochs of 16 walkers stay scoped; 64 walkers at the smaller size push
+  // the batch past the n / Network::kPatchCapDivisor cap.
+  common::Table walker_table({"nodes", "walkers", "mode", "us/route",
+                              "hit rate", "survival", "scoped epochs",
+                              "global epochs", "moves", "rows/move",
+                              "speedup", "oracle"});
+  const std::size_t walker_n = quick ? 400 : 1600;
+  for (std::size_t walker_count : {3, 16, 64}) {
+    const MobilityResult base =
+        run_mobility_mode(walker_n, walker_count, true, true, false);
+    const MobilityResult incr =
+        run_mobility_mode(walker_n, walker_count, true, false, true);
+    n3_ok = n3_ok && incr.oracle_ok;
+    for (const MobilityResult* mode : {&base, &incr}) {
+      walker_table.add_row(
+          {common::Table::num(std::uint64_t(walker_n)),
+           common::Table::num(std::uint64_t(walker_count)),
+           mode == &incr ? "incremental" : "global-flush",
+           common::Table::num(mode->us_per_route, 3),
+           common::Table::num(mode->hit_rate, 3),
+           common::Table::num(mode->survival, 3),
+           common::Table::num(mode->scoped_epochs),
+           common::Table::num(mode->global_epochs),
+           common::Table::num(mode->moves),
+           common::Table::num(mode->rows_per_move(), 1),
+           mode == &incr
+               ? common::Table::num(base.us_per_route / incr.us_per_route, 1)
+               : "-",
+           mode == &incr ? (incr.oracle_ok ? "ok" : "FAIL") : "-"});
+    }
+  }
+  experiment.series("walker-sweep", walker_table);
+  experiment.note("EXP-N3 walker-sweep shape check: rows/move stays near "
+                  "the radio-disk size (about 8 rows for a 25 m sensor on "
+                  "the 15 m lattice, old and new disk merged) whatever the "
+                  "walker count, so 16 walkers keep nearly every epoch "
+                  "scoped; survival falls as more of the field moves per "
+                  "epoch.");
+
+  // EXP-N3 caps: where a scoped epoch stops paying.  One deployment, a
+  // warm route cache, and epochs that dirty at most k rows: the longest
+  // prefix of a seeded sensor order whose radio disks (brute force, the
+  // same predicate as connected()) cover no more than k rows nudges 1 mm.
+  // "scoped"
+  // times the natural epoch (patch + multi-source BFS + cache walk, or the
+  // rebuild when the epoch widens on its own); "rebuild" forces the same
+  // moves into a global epoch and times the full CSR rebuild.  The moves
+  // themselves are not timed.  The shuffle series then teleports a growing
+  // share of the sensors in one epoch and times moves + epoch, which is
+  // where the kAccumulationCapFactor * n candidate cap binds.
+  common::Table cap_table({"nodes", "k", "rows patched", "epoch",
+                           "scoped ms", "rebuild ms", "scoped/rebuild",
+                           "routes kept"});
+  common::Table shuffle_table({"nodes", "moved", "candidates/n", "dirty/n",
+                               "epoch", "natural ms", "forced rebuild ms"});
+  {
+    const std::size_t n = quick ? 400 : 1600;
+    core::PervasiveGridRuntime runtime(bench::standard_config(n));
+    auto& net = runtime.network();
+    const std::size_t nodes = net.size();
+    std::vector<net::NodeId> order = runtime.sensors().sensors();
+    common::Rng(0xCA95ULL + n).shuffle(std::span<net::NodeId>(order));
+    // Rows a change at x can touch (sensors carry no wired links).
+    auto disk = [&](net::NodeId x, net::Vec3 at, std::vector<char>& mark) {
+      std::size_t marked = 0;
+      const auto& changed = net.node(x);
+      for (net::NodeId p = 0; p < nodes; ++p) {
+        const auto& peer = net.node(p);
+        const bool reach =
+            p == x || (peer.radio.wireless && changed.radio.wireless &&
+                       net::distance(peer.pos, at) <=
+                           std::min(peer.radio.range_m,
+                                    changed.radio.range_m));
+        if (reach && !mark[p]) {
+          mark[p] = 1;
+          ++marked;
+        }
+      }
+      return marked;
+    };
+    common::Rng pair_rng(0xCA96ULL + n);
+    std::vector<std::pair<net::NodeId, net::NodeId>> cap_pairs;
+    for (std::size_t i = 0; i < 256; ++i) {
+      cap_pairs.emplace_back(static_cast<net::NodeId>(pair_rng.index(nodes)),
+                             static_cast<net::NodeId>(pair_rng.index(nodes)));
+    }
+    auto warm = [&] {
+      for (const auto& [src, dst] : cap_pairs) {
+        n3_sink += net::cached_shortest_path(net, src, dst).size();
+      }
+    };
+    auto timed_epoch = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      net.sync_topology_caches();
+      n3_sink += net.topology_snapshot().size();
+      return seconds_since(t0) * 1e3;
+    };
+    auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const std::size_t reps = quick ? 3 : 15;
+    for (std::size_t divisor : {16, 8, 4, 2, 1}) {
+      // The longest prefix of `order` whose disks' union stays <= k rows.
+      const std::size_t k = nodes / divisor;
+      std::vector<char> mark(nodes, 0);
+      std::size_t covered = 0;
+      std::size_t movers = 0;
+      while (movers < order.size()) {
+        std::vector<char> next = mark;
+        const std::size_t added =
+            disk(order[movers], net.node(order[movers]).pos, next);
+        if (movers > 0 && covered + added > k) break;
+        mark.swap(next);
+        covered += added;
+        ++movers;
+      }
+      std::vector<double> scoped_ms;
+      std::vector<double> rebuild_ms;
+      const auto stats0 = net.topology_stats();
+      const auto cache0 = net.route_cache().stats();
+      std::uint64_t scoped0 = stats0.scoped_epochs;
+      bool widened = false;
+      double sign = 1.0;
+      for (std::size_t rep = 0; rep < 2 * reps; ++rep) {
+        const bool forced = rep % 2 == 1;
+        warm();
+        for (std::size_t i = 0; i < movers; ++i) {
+          net::Vec3 at = net.node(order[i]).pos;
+          at.x += sign * 1e-3;
+          net.move_node(order[i], at);
+        }
+        sign = -sign;
+        if (forced) {
+          net.bump_topology_version();
+          rebuild_ms.push_back(timed_epoch());
+        } else {
+          scoped_ms.push_back(timed_epoch());
+          widened = widened || net.topology_stats().scoped_epochs == scoped0;
+          scoped0 = net.topology_stats().scoped_epochs;
+        }
+      }
+      const auto stats1 = net.topology_stats();
+      const auto cache1 = net.route_cache().stats();
+      const auto judged = (cache1.routes_kept - cache0.routes_kept) +
+                          (cache1.routes_dropped - cache0.routes_dropped);
+      const double s_ms = median(scoped_ms);
+      const double r_ms = median(rebuild_ms);
+      cap_table.add_row(
+          {common::Table::num(std::uint64_t(nodes)),
+           "n/" + std::to_string(divisor),
+           common::Table::num(
+               (stats1.rows_patched - stats0.rows_patched) / reps),
+           widened ? "global (cap)" : "scoped",
+           common::Table::num(s_ms, 3), common::Table::num(r_ms, 3),
+           common::Table::num(s_ms / r_ms, 2),
+           widened ? "-"
+                   : common::Table::num(
+                         judged == 0 ? 0.0
+                                     : double(cache1.routes_kept -
+                                              cache0.routes_kept) /
+                                           double(judged),
+                         3)});
+    }
+
+    const double side = runtime.config().sensors.width_m;
+    for (std::size_t divisor : {64, 16, 4, 1}) {
+      const std::size_t moved = order.size() / divisor;
+      std::vector<net::Vec3> home(moved);
+      std::vector<net::Vec3> away(moved);
+      common::Rng place_rng(0x5A0FULL + divisor);
+      for (std::size_t i = 0; i < moved; ++i) {
+        home[i] = net.node(order[i]).pos;
+        away[i] = {place_rng.uniform(0.0, side), place_rng.uniform(0.0, side),
+                   0.0};
+      }
+      // What the epoch accumulates going home -> away: one candidate per
+      // mover plus its disk at each end, and their union.
+      std::size_t candidates = 0;
+      std::vector<char> mark(nodes, 0);
+      std::vector<char> fresh(nodes, 0);
+      for (std::size_t i = 0; i < moved; ++i) {
+        for (const net::Vec3& at : {home[i], away[i]}) {
+          std::fill(fresh.begin(), fresh.end(), char{0});
+          candidates += 1 + disk(order[i], at, fresh);
+          disk(order[i], at, mark);
+        }
+      }
+      const auto dirty = static_cast<std::size_t>(
+          std::count(mark.begin(), mark.end(), char{1}));
+      std::vector<double> natural_ms;
+      std::vector<double> forced_ms;
+      const std::uint64_t global0 = net.topology_stats().global_epochs;
+      for (std::size_t rep = 0; rep < 2 * reps; ++rep) {
+        const bool forced = rep % 2 == 1;
+        warm();
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i < moved; ++i) {
+          net.move_node(order[i], away[i]);
+        }
+        if (forced) net.bump_topology_version();
+        timed_epoch();
+        for (std::size_t i = 0; i < moved; ++i) {
+          net.move_node(order[i], home[i]);
+        }
+        if (forced) net.bump_topology_version();
+        timed_epoch();
+        (forced ? forced_ms : natural_ms).push_back(seconds_since(t0) * 1e3 /
+                                                    2.0);
+      }
+      // The forced reps add 2 global epochs each; the rest are natural.
+      const std::uint64_t natural_global =
+          net.topology_stats().global_epochs - global0 - 2 * reps;
+      shuffle_table.add_row(
+          {common::Table::num(std::uint64_t(nodes)),
+           "n/" + std::to_string(divisor),
+           common::Table::num(double(candidates) / double(nodes), 2),
+           common::Table::num(double(dirty) / double(nodes), 2),
+           natural_global == 0 ? "scoped"
+                               : (natural_global == 2 * reps ? "global"
+                                                             : "mixed"),
+           common::Table::num(median(natural_ms), 3),
+           common::Table::num(median(forced_ms), 3)});
+    }
+  }
+  experiment.series("epoch-cap-forced-k", cap_table);
+  experiment.series("epoch-cap-shuffle", shuffle_table);
+  experiment.note("EXP-N3 cap shape check: a scoped epoch's cost grows with "
+                  "its dirty rows toward the rebuild's, while the routes it "
+                  "keeps fall toward none; an epoch past n / "
+                  "Network::kPatchCapDivisor rows rebuilds instead.  A "
+                  "whole-deployment shuffle accumulates about 20 "
+                  "candidates per moved sensor and dirties most rows long "
+                  "before the kAccumulationCapFactor * n candidate cap "
+                  "stops the accumulation.");
   if (n3_sink == 0) std::cerr << "";  // keep `n3_sink` observable
 
   if (!oracle_ok) {

@@ -174,8 +174,9 @@ const TopologyStats& Network::topology_stats() const {
 // Incremental topology epochs (DESIGN.md S26).  Mutators accumulate the set
 // of adjacency rows a change can affect; the delta is applied lazily at the
 // next cache access.  A global epoch (add_node, wired-link add, fault
-// injector swap, reset_energy, an explicit bump, or a delta wider than n/2)
-// rebuilds the snapshot and clears the caches wholesale instead.
+// injector swap, reset_energy, an explicit bump, or a delta wider than the
+// kPatchCapDivisor / kAccumulationCapFactor caps) rebuilds the snapshot and
+// clears the caches wholesale instead.
 
 void Network::begin_pending() const {
   if (pending_.active) return;
@@ -189,13 +190,28 @@ void Network::begin_pending() const {
 void Network::note_scoped_change(NodeId id) const {
   begin_pending();
   if (pending_.global) return;
-  // The rows a change at `id` can affect: `id` itself, every node in its
-  // spatial gather block (connectivity requires d <= min(ra, rb) <= r_id,
-  // so any peer whose row lists `id` sits inside `id`'s own range box),
-  // and its wired peers (their rows carry hop distances to `id`).
+  // The rows a change at `id` can affect: `id` itself, every wireless peer
+  // within link reach of `id` right now, and its wired peers (their rows
+  // carry hop distances to `id`).  A row of p can list `id` only while
+  // d(p, id) <= min(r_p, r_id); mutators call this at both ends of a
+  // change (old and new position, before and after a liveness flip), so
+  // every row that differs between the two fresh rebuilds is kept.  The
+  // test is connected()'s own expression, liveness aside, so rounding can
+  // never drop a row: d(p, id) and d(id, p) are the same double.
   pending_.nodes.push_back(id);
   if (id < nodes_.size() && nodes_[id].radio.wireless) {
+    const std::size_t first = pending_.nodes.size();
     grid_.gather(id, pending_.nodes);
+    const Node& changed = nodes_[id];
+    const auto out_of_reach = [&](NodeId p) {
+      const Node& peer = nodes_[p];
+      return !(distance(peer.pos, changed.pos) <=
+               std::min(peer.radio.range_m, changed.radio.range_m));
+    };
+    pending_.nodes.erase(
+        std::remove_if(pending_.nodes.begin() + first, pending_.nodes.end(),
+                       out_of_reach),
+        pending_.nodes.end());
   }
   if (id < wired_peers_.size()) {
     pending_.nodes.insert(pending_.nodes.end(), wired_peers_[id].begin(),
@@ -203,7 +219,9 @@ void Network::note_scoped_change(NodeId id) const {
   }
   // Runaway epochs (a whole-deployment shuffle) stop paying the
   // accumulation cost and fall back to a rebuild.
-  if (pending_.nodes.size() > 4 * nodes_.size()) pending_.global = true;
+  if (pending_.nodes.size() > kAccumulationCapFactor * nodes_.size()) {
+    pending_.global = true;
+  }
 }
 
 void Network::note_global_change() const {
@@ -228,7 +246,7 @@ void Network::apply_pending() const {
     // A delta touching most of the deployment costs more to patch + BFS
     // than a straight rebuild; so does one naming rows the snapshot does
     // not have (defensive — add_node always goes global).
-    if (dirty.size() > nodes_.size() / 2 ||
+    if (dirty.size() > nodes_.size() / kPatchCapDivisor ||
         (!dirty.empty() && dirty.back() >= snapshot_.size())) {
       patchable = false;
     }
@@ -252,14 +270,14 @@ void Network::apply_pending() const {
   if (last_delta_.valid &&
       last_delta_.to_topology == pending_.from_topology &&
       last_delta_.to_liveness == pending_.from_liveness) {
-    std::vector<NodeId> merged;
-    merged.reserve(last_delta_.dirty.size() + dirty.size());
+    merge_buffer_.clear();
     std::set_union(last_delta_.dirty.begin(), last_delta_.dirty.end(),
-                   dirty.begin(), dirty.end(), std::back_inserter(merged));
-    last_delta_.dirty.swap(merged);
+                   dirty.begin(), dirty.end(),
+                   std::back_inserter(merge_buffer_));
+    last_delta_.dirty.swap(merge_buffer_);
     last_delta_.to_topology = topology_version_;
     last_delta_.to_liveness = liveness_version_;
-    if (last_delta_.dirty.size() > nodes_.size() / 2) {
+    if (last_delta_.dirty.size() > nodes_.size() / kPatchCapDivisor) {
       last_delta_.valid = false;  // too wide to be worth a scoped pass
     }
   } else {
@@ -674,7 +692,7 @@ void Network::set_node_up(NodeId id, bool up) {
   if (n.up != up) {
     // The affected rows are `id`'s own and those of its (potential)
     // neighbours — the same set whether the node is going down or coming
-    // up, since the gather block is purely geometric.
+    // up, since the dirty-row test is purely geometric.
     note_scoped_change(id);
     n.up = up;
     ++topology_version_;

@@ -342,6 +342,15 @@ class Network {
   /// global epoch (consumers must clear wholesale).
   const ScopedDelta& last_scoped_delta() const { return last_delta_; }
 
+  /// Epoch widening caps (DESIGN.md S26, measured by EXP-N3).  A scoped
+  /// epoch whose deduplicated dirty set exceeds n / kPatchCapDivisor rows
+  /// rebuilds the snapshot instead of patching it (the merged
+  /// last_scoped_delta() obeys the same cap), and one whose accumulated
+  /// candidates exceed kAccumulationCapFactor * n stops accumulating and
+  /// widens to a global epoch.
+  static constexpr std::size_t kPatchCapDivisor = 2;
+  static constexpr std::size_t kAccumulationCapFactor = 4;
+
   std::size_t max_retries() const { return max_retries_; }
   void set_max_retries(std::size_t retries) { max_retries_ = retries; }
 
@@ -406,8 +415,8 @@ class Network {
   /// from are captured exactly once per epoch.
   void begin_pending() const;
   /// Marks the rows a change at `id` can affect dirty: the node itself,
-  /// everything in its spatial gather block (any peer whose row lists `id`
-  /// lies within `id`'s own range box) and its wired peers.
+  /// every wireless peer p with d(p, id) <= min(r_p, r_id) (connected()'s
+  /// own range test, liveness aside) and its wired peers.
   void note_scoped_change(NodeId id) const;
   /// Widens the pending delta to a full rebuild (unscopeable mutation).
   void note_global_change() const;
@@ -467,6 +476,7 @@ class Network {
   mutable std::vector<NodeId> patch_adjacency_;
   mutable std::vector<double> patch_distance_;
   mutable std::vector<NodeId> patch_row_;
+  mutable std::vector<NodeId> merge_buffer_;  ///< last_delta_ union scratch
 };
 
 /// Places `count` nodes on a uniform grid inside [0,width]x[0,height] at

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <queue>
 #include <vector>
@@ -93,6 +95,79 @@ void expect_epoch_matches_oracle(const Network& net, common::Rng& pairs,
     ASSERT_EQ(cached_shortest_path(net, src, dst), expected)
         << "warm cached route diverged for " << src << " -> " << dst;
   }
+}
+
+/// Brute-force rows a change at `x` can touch with every node where it is
+/// right now: `x` itself, each wireless peer p with
+/// d(p, x) <= min(r_p, r_x) (connected()'s range test, liveness aside) and
+/// `x`'s wired peers.  Marks them in `rows` (sized to the deployment).
+void mark_reach(const Network& net, NodeId x,
+                const std::vector<NodeId>& wired_peers,
+                std::vector<char>& rows) {
+  rows[x] = 1;
+  const Node& changed = net.node(x);
+  for (NodeId p = 0; p < net.size(); ++p) {
+    const Node& peer = net.node(p);
+    if (peer.radio.wireless && changed.radio.wireless &&
+        distance(peer.pos, changed.pos) <=
+            std::min(peer.radio.range_m, changed.radio.range_m)) {
+      rows[p] = 1;
+    }
+  }
+  for (NodeId w : wired_peers) rows[w] = 1;
+}
+
+std::size_t count_marked(const std::vector<char>& rows) {
+  return static_cast<std::size_t>(std::count(rows.begin(), rows.end(), 1));
+}
+
+/// Every node's fresh row (what a full rebuild computes) with its hop
+/// distances.
+std::vector<std::pair<std::vector<NodeId>, std::vector<double>>> fresh_rows(
+    const Network& net) {
+  std::vector<std::pair<std::vector<NodeId>, std::vector<double>>> rows;
+  for (NodeId id = 0; id < net.size(); ++id) {
+    auto row = net.neighbors(id);
+    std::vector<double> dist;
+    for (NodeId peer : row) {
+      dist.push_back(distance(net.node(id).pos, net.node(peer).pos));
+    }
+    rows.emplace_back(std::move(row), std::move(dist));
+  }
+  return rows;
+}
+
+/// Runs one epoch made of `mutate` (which marks its own brute-force rows)
+/// on a built snapshot.  Every row differing between the fresh rebuilds
+/// before and after must be marked.  Within the n / kPatchCapDivisor cap
+/// the epoch must be scoped and patch exactly the marked rows; past it, it
+/// must widen to a rebuild.  Returns whether the epoch was scoped.
+bool expect_exact_epoch(Network& net,
+                        const std::function<void(std::vector<char>&)>& mutate) {
+  net.topology_snapshot();  // scoped epochs patch a built snapshot
+  const auto before_rows = fresh_rows(net);
+  const TopologyStats before = net.topology_stats();
+  std::vector<char> expected(net.size(), 0);
+  mutate(expected);
+  net.sync_topology_caches();
+  const TopologyStats after = net.topology_stats();
+  const auto after_rows = fresh_rows(net);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (before_rows[id] != after_rows[id]) {
+      EXPECT_TRUE(expected[id]) << "row " << id << " changed but is clean";
+    }
+  }
+  if (count_marked(expected) > net.size() / Network::kPatchCapDivisor) {
+    EXPECT_EQ(after.global_epochs, before.global_epochs + 1)
+        << "a dirty set past the patch cap must widen";
+    return false;
+  }
+  EXPECT_EQ(after.scoped_epochs, before.scoped_epochs + 1)
+      << "the epoch widened to a rebuild";
+  EXPECT_EQ(after.snapshot_builds, before.snapshot_builds);
+  EXPECT_EQ(after.rows_patched - before.rows_patched, count_marked(expected))
+      << "the dirty set is not exactly the brute-force row set";
+  return true;
 }
 
 struct EpochCase {
@@ -399,10 +474,14 @@ TEST(EpochScoping, SingleMovePatchesFewRowsAndKeepsDistantRoutes) {
   const auto before = net.topology_stats();
   const auto cache_before = net.route_cache().stats();
 
-  // Nudge the far-corner node a metre: only its 3x3x3 gather block can be
-  // affected, so the epoch must patch, not rebuild.
+  // Nudge the far-corner node a metre: only the rows within radio reach of
+  // its old and new position can be affected, so the epoch must patch
+  // exactly those, not rebuild.
+  std::vector<char> reach(n, 0);
+  mark_reach(net, ids[99], {}, reach);
   const Vec3 at = net.node(ids[99]).pos;
   net.move_node(ids[99], Vec3{at.x - 1.0, at.y - 1.0, at.z});
+  mark_reach(net, ids[99], {}, reach);
   net.sync_topology_caches();
 
   const auto after = net.topology_stats();
@@ -411,7 +490,7 @@ TEST(EpochScoping, SingleMovePatchesFewRowsAndKeepsDistantRoutes) {
   EXPECT_EQ(after.snapshot_patches, before.snapshot_patches + 1);
   EXPECT_EQ(after.snapshot_builds, before.snapshot_builds)
       << "a scoped move must not trigger a full rebuild";
-  EXPECT_LE(after.rows_patched - before.rows_patched, n / 2);
+  EXPECT_EQ(after.rows_patched - before.rows_patched, count_marked(reach));
   EXPECT_EQ(cache_after.scoped_epochs, cache_before.scoped_epochs + 1);
   EXPECT_GT(cache_after.routes_kept, cache_before.routes_kept)
       << "the near route should survive a far-corner move";
@@ -423,6 +502,235 @@ TEST(EpochScoping, SingleMovePatchesFewRowsAndKeepsDistantRoutes) {
             oracle_route(net, ids[0], ids[99]));
   common::Rng pairs(31);
   expect_epoch_matches_oracle(net, pairs, 8);
+}
+
+// ---------------------------------------------------------------------------
+// Exact dirty rows: a change dirties exactly the rows within link reach
+// ---------------------------------------------------------------------------
+
+TEST_P(EpochProperty, SeededMovesAndDeathsPatchExactlyTheBruteForceRows) {
+  common::Rng script(GetParam().seed + 61);
+  common::Rng pairs(GetParam().seed + 62);
+  auto wired_peers = [&](NodeId x) {
+    if (x == base_) return std::vector<NodeId>{grid_};
+    if (x == grid_) return std::vector<NodeId>{base_};
+    return std::vector<NodeId>{};
+  };
+  std::size_t scoped = 0;
+  for (int step = 0; step < 24; ++step) {
+    // Movers include the wifi base (wired to the grid machine) and step up
+    // to 8 m per axis, every fourth move up to the field's side; victims
+    // are live sensors.
+    const NodeId mover =
+        step % 6 == 5 ? base_ : ids_[script.index(ids_.size())];
+    const NodeId victim = ids_[script.index(ids_.size())];
+    const bool kill = step % 3 == 2 && net_.alive(victim);
+    const Vec3 at = net_.node(mover).pos;
+    const double reach = step % 4 == 0 ? side_ : 8.0;
+    const Vec3 to{at.x + script.uniform(-reach, reach),
+                  at.y + script.uniform(-reach, reach), 0.0};
+    scoped += expect_exact_epoch(net_, [&](std::vector<char>& rows) {
+      if (kill) {
+        net_.drain_energy(victim, net_.node(victim).energy.capacity() + 1.0);
+        mark_reach(net_, victim, wired_peers(victim), rows);
+      } else {
+        mark_reach(net_, mover, wired_peers(mover), rows);
+        net_.move_node(mover, to);
+        mark_reach(net_, mover, wired_peers(mover), rows);
+      }
+    });
+    if (step % 4 == 3) expect_epoch_matches_oracle(net_, pairs, 4);
+  }
+  EXPECT_GE(scoped, 12u) << "most single changes must stay scoped";
+  expect_epoch_matches_oracle(net_, pairs, 8);
+}
+
+TEST_P(EpochProperty, BatchedMoveAndDeathPatchTheUnion) {
+  common::Rng pairs(GetParam().seed + 63);
+  // The mover lands 3.6 m from the victim, so their disks overlap and the
+  // batch stays under the patch cap even at n = 25.
+  const NodeId mover = ids_.front();
+  const NodeId victim = ids_[ids_.size() / 2];
+  const Vec3 near_victim = net_.node(victim).pos;
+  const Vec3 to{near_victim.x + 3.0, near_victim.y - 2.0, 0.0};
+  const bool scoped = expect_exact_epoch(net_, [&](std::vector<char>& rows) {
+    mark_reach(net_, mover, {}, rows);
+    net_.move_node(mover, to);
+    mark_reach(net_, mover, {}, rows);
+    net_.set_node_up(victim, false);  // the victim's row set is geometric
+    mark_reach(net_, victim, {}, rows);
+  });
+  EXPECT_TRUE(scoped);
+  expect_epoch_matches_oracle(net_, pairs, 8);
+}
+
+/// Sensors (25 m) on a 15 m lattice with two wifi nodes (100 m) 80 m apart
+/// in the middle of it.
+struct MixedRadioRig {
+  sim::Simulator sim;
+  Network net;
+  std::vector<NodeId> sensors;
+  NodeId wifi_a = kInvalidNode;
+  NodeId wifi_b = kInvalidNode;
+
+  MixedRadioRig() : net(sim, common::Rng(12)) {
+    NodeConfig sensor;
+    sensor.kind = NodeKind::kSensor;
+    sensor.radio = LinkClass::sensor_radio();
+    sensor.unlimited_energy = true;
+    sensors = deploy_grid(net, 144, 165.0, 165.0, sensor);
+    NodeConfig wifi;
+    wifi.kind = NodeKind::kHandheld;
+    wifi.radio = LinkClass::wifi();
+    wifi.unlimited_energy = true;
+    wifi.pos = {40.0, 82.0, 0.0};
+    wifi_a = net.add_node(wifi);
+    wifi.pos = {120.0, 82.0, 0.0};
+    wifi_b = net.add_node(wifi);
+  }
+};
+
+TEST(ExactRows, WifiNodeAmongSensorsDirtiesOnlySensorReach) {
+  MixedRadioRig rig;
+  Network& net = rig.net;
+  // A 100 m radio reaches sensors only within their own 25 m, so the
+  // dirty set is the sensors within 25 m of either position plus the
+  // other wifi node (within 100 m of both) — not the 100 m disk.
+  std::vector<char> expected(net.size(), 0);
+  expect_exact_epoch(net, [&](std::vector<char>& rows) {
+    mark_reach(net, rig.wifi_a, {}, rows);
+    net.move_node(rig.wifi_a, Vec3{47.0, 80.0, 0.0});
+    mark_reach(net, rig.wifi_a, {}, rows);
+    expected = rows;
+  });
+  EXPECT_TRUE(expected[rig.wifi_b]);
+  EXPECT_LT(count_marked(expected), 16u)
+      << "only the sensors within 25 m and the peer wifi node";
+  common::Rng pairs(3);
+  expect_epoch_matches_oracle(net, pairs, 8);
+}
+
+TEST(ExactRows, SensorMovingNextToWifiNodeDirtiesIt) {
+  MixedRadioRig rig;
+  Network& net = rig.net;
+  const NodeId mover = rig.sensors.front();  // the (0, 0) corner
+  ASSERT_FALSE(net.connected(mover, rig.wifi_b));
+  std::vector<char> expected(net.size(), 0);
+  expect_exact_epoch(net, [&](std::vector<char>& rows) {
+    mark_reach(net, mover, {}, rows);
+    net.move_node(mover, Vec3{128.0, 90.0, 0.0});
+    mark_reach(net, mover, {}, rows);
+    expected = rows;
+  });
+  EXPECT_TRUE(net.connected(mover, rig.wifi_b));
+  EXPECT_TRUE(expected[rig.wifi_b]);
+  EXPECT_FALSE(expected[rig.wifi_a]) << "80 m away: beyond the sensor's 25 m";
+  common::Rng pairs(4);
+  expect_epoch_matches_oracle(net, pairs, 8);
+}
+
+TEST(ExactRows, PeerAtExactlyMinRangeIsDirty) {
+  // d == min(r) links (connected() tests <=), so a peer exactly 25.0 m
+  // away must be dirtied by a change at the other end; one a hair beyond
+  // must not.  A strict < test fails both the count and the oracle.
+  sim::Simulator sim;
+  Network net(sim, common::Rng(5));
+  NodeConfig sensor;
+  sensor.kind = NodeKind::kSensor;
+  sensor.radio = LinkClass::sensor_radio();
+  sensor.unlimited_energy = true;
+  ASSERT_EQ(sensor.radio.range_m, 25.0);
+  sensor.pos = {0.0, 0.0, 0.0};
+  const NodeId x = net.add_node(sensor);
+  sensor.pos = {25.0, 0.0, 0.0};
+  const NodeId edge = net.add_node(sensor);
+  sensor.pos = {0.0, 25.000001, 0.0};
+  const NodeId beyond = net.add_node(sensor);
+  sensor.pos = {-25.0, 0.0, 0.0};
+  const NodeId far_edge = net.add_node(sensor);  // 50 m from edge
+  for (int i = 0; i < 8; ++i) {  // bystanders, so 3 rows fit the patch cap
+    sensor.pos = {500.0 + 50.0 * i, 500.0, 0.0};
+    net.add_node(sensor);
+  }
+  ASSERT_TRUE(net.connected(x, edge));
+  ASSERT_FALSE(net.connected(x, beyond));
+  const std::vector<char> disk_of_x{1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0};
+
+  std::vector<char> rows(net.size(), 0);
+  expect_exact_epoch(net, [&](std::vector<char>& marked) {
+    net.set_node_up(x, false);
+    mark_reach(net, x, {}, marked);
+    rows = marked;
+  });
+  EXPECT_EQ(rows, disk_of_x);
+  EXPECT_TRUE(net.neighbors(edge).empty());
+  common::Rng pairs(6);
+  expect_epoch_matches_oracle(net, pairs, 4);
+
+  // And a move away from the boundary: the old position's 25.0 m peers.
+  expect_exact_epoch(net, [&](std::vector<char>& marked) {
+    net.set_node_up(x, true);
+    mark_reach(net, x, {}, marked);
+  });
+  expect_exact_epoch(net, [&](std::vector<char>& marked) {
+    mark_reach(net, x, {}, marked);
+    net.move_node(x, Vec3{0.0, -1.0, 0.0});
+    mark_reach(net, x, {}, marked);
+    rows = marked;
+  });
+  EXPECT_EQ(rows, disk_of_x);
+  EXPECT_TRUE(net.neighbors(edge).empty());
+  EXPECT_TRUE(net.neighbors(far_edge).empty());
+  expect_epoch_matches_oracle(net, pairs, 4);
+}
+
+TEST(ExactRows, SixteenWalkersOnA1600NodeGridStayScoped) {
+  // The mobile-failover shape: 16 walkers stepping 1.5 m among 1600
+  // stationary 25 m sensors, beside a 100 m wifi base whose range sets the
+  // spatial grid's cell width.  Each batched epoch dirties ~16 radio
+  // disks, far below the n / kPatchCapDivisor cap.
+  sim::Simulator sim;
+  Network net(sim, common::Rng(16));
+  NodeConfig sensor;
+  sensor.kind = NodeKind::kSensor;
+  sensor.radio = LinkClass::sensor_radio();
+  sensor.unlimited_energy = true;
+  const auto ids = deploy_grid(net, 1600, 585.0, 585.0, sensor);
+  NodeConfig base;
+  base.kind = NodeKind::kBaseStation;
+  base.radio = LinkClass::wifi();
+  base.unlimited_energy = true;
+  base.pos = {-5.0, -5.0, 0.0};
+  net.add_node(base);
+
+  std::vector<NodeId> walkers;  // lattice rows and columns 5, 15, 25, 35
+  for (std::size_t row = 5; row < 40; row += 10) {
+    for (std::size_t col = 5; col < 40; col += 10) {
+      walkers.push_back(ids[row * 40 + col]);
+    }
+  }
+  net.topology_snapshot();
+  const TopologyStats before = net.topology_stats();
+  common::Rng steps(17);
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    const bool scoped = expect_exact_epoch(net, [&](std::vector<char>& rows) {
+      for (NodeId w : walkers) {
+        mark_reach(net, w, {}, rows);
+        const Vec3 at = net.node(w).pos;
+        const double heading = steps.uniform(0.0, 6.283185307179586);
+        net.move_node(w, Vec3{at.x + 1.5 * std::cos(heading),
+                              at.y + 1.5 * std::sin(heading), 0.0});
+        mark_reach(net, w, {}, rows);
+      }
+    });
+    ASSERT_TRUE(scoped) << "epoch " << epoch << " passed the patch cap";
+  }
+  const TopologyStats after = net.topology_stats();
+  EXPECT_EQ(after.scoped_epochs, before.scoped_epochs + 20);
+  EXPECT_EQ(after.snapshot_builds, before.snapshot_builds)
+      << "every walker epoch patches; none rebuilds";
+  common::Rng pairs(18);
+  expect_epoch_matches_oracle(net, pairs, 2);
 }
 
 // ---------------------------------------------------------------------------

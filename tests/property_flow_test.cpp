@@ -8,6 +8,7 @@
 // under the shard fold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -409,26 +410,71 @@ TEST(FlowPlans, CacheHitsAndVersionInvalidation) {
   rt.simulator().run();
   EXPECT_EQ(flow.stats().plan_hits, base.plan_hits + 1);
 
-  // Mobility bumps the topology version: the next flow must re-plan.
+  // Mobility bumps the topology version and dirties route[0]'s row: the
+  // plan through it dies (a scoped drop, or a wholesale clear had the
+  // epoch widened) and the next flow must re-plan.
   const net::FlowStats settled = flow.stats();
   auto pos = rt.network().node(route[0]).pos;
   pos.x += 1.0;
   rt.network().move_node(route[0], pos);
   flow.send_flow(route, 32, [](bool, std::size_t) {});
   rt.simulator().run();
-  EXPECT_EQ(flow.stats().plan_invalidations,
-            settled.plan_invalidations + 1);
   EXPECT_EQ(flow.stats().plan_misses, settled.plan_misses + 1);
+  EXPECT_GT(flow.stats().plans_dropped + flow.stats().plan_invalidations,
+            settled.plans_dropped + settled.plan_invalidations);
 
   // Battery death moves the liveness version without touching topology.
-  const net::NodeId victim = rt.sensors().sensors()[2];
-  const auto before = rt.network().liveness_version();
-  rt.network().drain_energy(victim, 1e9);
-  ASSERT_GT(rt.network().liveness_version(), before);
+  // It dirties only the rows within link reach of the victim, so the plan
+  // dies iff one of its hops is the victim or lies within
+  // min(r_hop, r_victim) of it (connected()'s range test).
+  auto plan_touched_by = [&](net::NodeId victim) {
+    const net::Node& dying = rt.network().node(victim);
+    return std::any_of(route.begin(), route.end(), [&](net::NodeId hop) {
+      const net::Node& node = rt.network().node(hop);
+      return hop == victim ||
+             net::distance(node.pos, dying.pos) <=
+                 std::min(node.radio.range_m, dying.radio.range_m);
+    });
+  };
+  auto kill_and_resend = [&](net::NodeId victim) {
+    const net::FlowStats prior = flow.stats();
+    const auto before = rt.network().liveness_version();
+    rt.network().drain_energy(victim, 1e9);
+    EXPECT_GT(rt.network().liveness_version(), before);
+    flow.send_flow(route, 32, [](bool, std::size_t) {});
+    rt.simulator().run();
+    EXPECT_EQ(flow.stats().plan_scoped_epochs, prior.plan_scoped_epochs + 1)
+        << "a battery death is a scoped epoch";
+    if (plan_touched_by(victim)) {
+      EXPECT_EQ(flow.stats().plan_misses, prior.plan_misses + 1);
+      EXPECT_GT(flow.stats().plans_dropped, prior.plans_dropped);
+    } else {
+      EXPECT_EQ(flow.stats().plan_hits, prior.plan_hits + 1);
+      EXPECT_EQ(flow.stats().plan_misses, prior.plan_misses);
+    }
+  };
+  // The network merges abutting scoped deltas for consumers that sync
+  // rarely, so the move above would still be in the delta; a global epoch
+  // (wholesale clear, then a re-plan) makes the next delta start here.
+  // Scoped epochs patch a built snapshot, so rebuild it as route traffic
+  // would.
+  const net::FlowStats moved = flow.stats();
+  rt.network().bump_topology_version();
+  rt.network().topology_snapshot();
   flow.send_flow(route, 32, [](bool, std::size_t) {});
   rt.simulator().run();
-  EXPECT_EQ(flow.stats().plan_invalidations,
-            settled.plan_invalidations + 2);
+  EXPECT_EQ(flow.stats().plan_invalidations, moved.plan_invalidations + 1);
+  EXPECT_EQ(flow.stats().plan_misses, moved.plan_misses + 1);
+  // A death out of the plan's reach first, which the plan must survive,
+  // then one within it.
+  const auto& sensors = rt.sensors().sensors();
+  const auto bystander =
+      std::find_if(sensors.begin(), sensors.end(), [&](net::NodeId id) {
+        return id != sensors[2] && !plan_touched_by(id);
+      });
+  ASSERT_NE(bystander, sensors.end());
+  kill_and_resend(*bystander);
+  kill_and_resend(sensors[2]);
 }
 
 TEST(FlowPlans, BrokenRouteFailsAtTheBrokenHopWithoutCharge) {
