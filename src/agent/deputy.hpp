@@ -14,18 +14,12 @@
 #include <memory>
 
 #include "agent/envelope.hpp"
-#include "common/small_fn.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace pgrid::agent {
 
 class AgentPlatform;
-
-/// Outcome callback for a deliver() call.  Move-only small-buffer callable
-/// (PR 2 kernel convention): the deputy retry loop re-arms without
-/// allocating for its continuation.
-using DeliverCallback = common::SmallFn<void(bool delivered)>;
 
 /// The deputy interface: the only thing the platform knows about delivery.
 class AgentDeputy {
@@ -37,7 +31,7 @@ class AgentDeputy {
   /// and call `done` exactly once.
   virtual void deliver(AgentPlatform& platform, net::NodeId src_node,
                        net::NodeId dest_node, const Envelope& envelope,
-                       DeliverCallback done) = 0;
+                       net::Network::DeliveryCallback done) = 0;
 
   virtual std::string kind() const = 0;
 };
@@ -48,7 +42,7 @@ class DirectDeputy final : public AgentDeputy {
  public:
   void deliver(AgentPlatform& platform, net::NodeId src_node,
                net::NodeId dest_node, const Envelope& envelope,
-               DeliverCallback done) override;
+               net::Network::DeliveryCallback done) override;
   std::string kind() const override { return "direct"; }
 };
 
@@ -69,7 +63,7 @@ class StoreAndForwardDeputy final : public AgentDeputy {
 
   void deliver(AgentPlatform& platform, net::NodeId src_node,
                net::NodeId dest_node, const Envelope& envelope,
-               DeliverCallback done) override;
+               net::Network::DeliveryCallback done) override;
   std::string kind() const override { return "store-and-forward"; }
 
   /// Envelopes currently held awaiting a retry.
@@ -99,7 +93,7 @@ class TranscodingDeputy final : public AgentDeputy {
 
   void deliver(AgentPlatform& platform, net::NodeId src_node,
                net::NodeId dest_node, const Envelope& envelope,
-               DeliverCallback done) override;
+               net::Network::DeliveryCallback done) override;
   std::string kind() const override { return "transcoding"; }
 
   std::size_t transcoded_count() const { return transcoded_; }

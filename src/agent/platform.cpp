@@ -63,29 +63,40 @@ void AgentPlatform::send(Envelope envelope, SendCallback on_result) {
                               : sender_it->second.agent->node();
   const net::NodeId dst = receiver_it->second.agent->node();
   AgentDeputy& deputy = *receiver_it->second.deputy;
-  auto env = std::make_shared<Envelope>(std::move(envelope));
+  // The envelope and the sender's callback share one allocation, so the
+  // delivery completion captures two pointers and stays inline.
+  struct InFlight {
+    Envelope envelope;
+    SendCallback on_result;
+  };
+  auto flight = std::make_shared<InFlight>(
+      InFlight{std::move(envelope), std::move(on_result)});
+  const Envelope& env = flight->envelope;
   // Deliver under the envelope's trace so the physical hops (and everything
   // the receiving agent does in response) attribute to the conversation.
   // The logical-layer charge records envelope traffic per subsystem; the
   // per-hop wireless/backhaul bytes are charged by the network itself.
   auto& ledger = network_.telemetry();
   const telemetry::TraceId trace =
-      env->trace != 0 ? env->trace : ledger.current_trace();
+      env.trace != 0 ? env.trace : ledger.current_trace();
   telemetry::Cost message;
-  message.bytes = env->wire_size();
+  message.bytes = env.wire_size();
   message.count = 1;
   ledger.charge(telemetry::Subsystem::kAgentMessaging, trace, message);
   telemetry::TraceScope scope(simulator(), trace);
-  deputy.deliver(*this, src, dst, *env,
-                 [this, env, on_result](bool delivered) {
-                   if (delivered) {
-                     ++stats_.delivered;
-                     dispatch(*env);
-                   } else {
-                     ++stats_.failed;
-                   }
-                   if (on_result) on_result(delivered);
-                 });
+  auto complete = [this, flight](bool delivered) {
+    if (delivered) {
+      ++stats_.delivered;
+      dispatch(flight->envelope);
+    } else {
+      ++stats_.failed;
+    }
+    if (flight->on_result) flight->on_result(delivered);
+  };
+  static_assert(
+      net::Network::DeliveryCallback::stores_inline<decltype(complete)>,
+      "an envelope's delivery completion must not allocate");
+  deputy.deliver(*this, src, dst, env, std::move(complete));
 }
 
 void AgentPlatform::request(Envelope envelope, sim::SimTime timeout,
@@ -139,7 +150,7 @@ void AgentPlatform::dispatch(const Envelope& envelope) {
 
 void AgentPlatform::route_and_transmit(net::NodeId src, net::NodeId dst,
                                        std::uint64_t bytes, net::Budget budget,
-                                       DeliverCallback done) {
+                                       net::Network::DeliveryCallback done) {
   if (src == dst) {
     // Local delivery is instantaneous but still asynchronous.
     simulator().schedule(sim::SimTime::zero(),
@@ -166,7 +177,7 @@ net::Budget envelope_budget(const Envelope& envelope) {
 
 void DirectDeputy::deliver(AgentPlatform& platform, net::NodeId src_node,
                            net::NodeId dest_node, const Envelope& envelope,
-                           DeliverCallback done) {
+                           net::Network::DeliveryCallback done) {
   platform.route_and_transmit(src_node, dest_node, envelope.wire_size(),
                               envelope_budget(envelope), std::move(done));
 }
@@ -181,7 +192,7 @@ struct StoreAndForwardDeputy::RetryState {
   std::uint64_t bytes = 0;
   sim::SimTime deadline;
   sim::SimTime interval;  ///< next retry delay; doubles per failure
-  DeliverCallback done;
+  net::Network::DeliveryCallback done;
   sim::EventHandle give_up;
   bool finished = false;
   bool counted = false;  ///< currently counted in queued_
@@ -191,7 +202,7 @@ void StoreAndForwardDeputy::deliver(AgentPlatform& platform,
                                     net::NodeId src_node,
                                     net::NodeId dest_node,
                                     const Envelope& envelope,
-                                    DeliverCallback done) {
+                                    net::Network::DeliveryCallback done) {
   const sim::SimTime now = platform.simulator().now();
   sim::SimTime deadline = now + give_up_after_;
   if (envelope.deadline_us > 0) {
@@ -262,7 +273,7 @@ void StoreAndForwardDeputy::attempt(AgentPlatform& platform,
 void TranscodingDeputy::deliver(AgentPlatform& platform, net::NodeId src_node,
                                 net::NodeId dest_node,
                                 const Envelope& envelope,
-                                DeliverCallback done) {
+                                net::Network::DeliveryCallback done) {
   std::uint64_t bytes = envelope.wire_size();
   // Inspect the first hop the route would take; a thin channel triggers
   // payload transcoding before transmission.

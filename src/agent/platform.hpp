@@ -66,9 +66,10 @@ class AgentPlatform {
   /// acked delivery and is ignored by best effort).  Exposed for deputies.
   void route_and_transmit(net::NodeId src, net::NodeId dst,
                           std::uint64_t bytes, net::Budget budget,
-                          DeliverCallback done);
+                          net::Network::DeliveryCallback done);
   void route_and_transmit(net::NodeId src, net::NodeId dst,
-                          std::uint64_t bytes, DeliverCallback done) {
+                          std::uint64_t bytes,
+                          net::Network::DeliveryCallback done) {
     route_and_transmit(src, dst, bytes, net::Budget::unlimited(),
                        std::move(done));
   }

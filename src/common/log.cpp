@@ -21,7 +21,10 @@ LogLevel level_from_env() {
 }
 
 std::atomic<LogLevel> g_level{level_from_env()};
-std::atomic<std::uint64_t> g_trace{0};
+/// Per thread: each simulator (a city-flow lane, a what-if clone) runs on
+/// its own thread and keeps its own trace in sync here, so neither the
+/// writes contend nor a line carries another thread's trace.
+thread_local std::uint64_t t_trace = 0;
 
 const char* tag(LogLevel level) {
   switch (level) {
@@ -39,12 +42,12 @@ const char* tag(LogLevel level) {
 void set_log_level(LogLevel level) { g_level.store(level); }
 LogLevel log_level() { return g_level.load(); }
 
-void set_log_trace(std::uint64_t trace) { g_trace.store(trace); }
-std::uint64_t log_trace() { return g_trace.load(); }
+void set_log_trace(std::uint64_t trace) { t_trace = trace; }
+std::uint64_t log_trace() { return t_trace; }
 
 void log_line(LogLevel level, const std::string& message) {
   if (level < g_level.load()) return;
-  const std::uint64_t trace = g_trace.load();
+  const std::uint64_t trace = t_trace;
   if (trace != 0) {
     std::cerr << "[pgrid " << tag(level) << " #" << trace << "] " << message
               << '\n';

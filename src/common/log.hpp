@@ -15,10 +15,10 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// Active telemetry trace id; nonzero values prefix every log line with
-/// `#<trace>` so narration correlates with cost-ledger rows.  The simulation
-/// kernel keeps this in sync with its trace context — callers rarely set it
-/// directly.
+/// Active telemetry trace id of the calling thread; nonzero values prefix
+/// that thread's log lines with `#<trace>` so narration correlates with
+/// cost-ledger rows.  The simulation kernel keeps this in sync with its
+/// trace context — callers rarely set it directly.
 void set_log_trace(std::uint64_t trace);
 std::uint64_t log_trace();
 

@@ -374,8 +374,10 @@ void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
   auto link = link_between(from, to);
   if (!link) {
     // No usable link: fail asynchronously so callers see uniform semantics.
-    sim_.schedule(sim::SimTime::zero(),
-                  [cb = std::move(cb)]() mutable { cb(false); });
+    auto fail = [cb = std::move(cb)]() mutable { cb(false); };
+    static_assert(sim::Simulator::Callback::stores_inline<decltype(fail)>,
+                  "a transmit completion must not allocate");
+    sim_.schedule(sim::SimTime::zero(), std::move(fail));
     return;
   }
 
@@ -486,8 +488,10 @@ void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
   }
   total += effect.extra_delay;
   ledger_.charge(subsystem, usage);
-  sim_.schedule(total,
-                [cb = std::move(cb), success]() mutable { cb(success); });
+  auto complete = [cb = std::move(cb), success]() mutable { cb(success); };
+  static_assert(sim::Simulator::Callback::stores_inline<decltype(complete)>,
+                "a transmit completion must not allocate");
+  sim_.schedule(total, std::move(complete));
 }
 
 void Network::send_route(const std::vector<NodeId>& route, std::uint64_t bytes,
@@ -547,10 +551,12 @@ void Network::deliver(NodeId src, NodeId dst, std::uint64_t bytes,
     reliable_->unicast(src, dst, bytes, budget, std::move(done));
     return;
   }
-  RouteCallback on_route = [done = std::move(done)](bool ok,
-                                                    std::size_t) mutable {
+  auto wrap = [done = std::move(done)](bool ok, std::size_t) mutable {
     done(ok);
   };
+  static_assert(RouteCallback::stores_inline<decltype(wrap)>,
+                "deliver's route wrapper must not allocate");
+  RouteCallback on_route = std::move(wrap);
   if (route != nullptr) {
     send_route(*route, bytes, std::move(on_route));
     return;

@@ -173,11 +173,15 @@ class FaultInjector {
 /// the simulator when the (simulated) transfer completes.
 class Network {
  public:
-  /// Move-only small-buffer callables (PR 2 kernel convention): the unicast
-  /// delivery paths — including the reliability layer's retransmissions —
-  /// complete without allocating for their continuations.  Dissemination
-  /// callbacks stay std::function (they are copied across branches).
-  using DeliveryCallback = common::SmallFn<void(bool delivered)>;
+  /// Move-only small-buffer callables: the unicast delivery paths —
+  /// including the reliability layer's retransmissions — complete without
+  /// allocating for their continuations.  DeliveryCallback's 40-byte buffer
+  /// makes it 48 bytes, so transmit()'s completion event (the callback
+  /// plus the outcome) fits sim::Simulator::Callback's buffer and deliver()'s
+  /// RouteCallback wrapper fits RouteCallback's: neither spills.  Captures
+  /// past 40 bytes still work but allocate.  Dissemination callbacks stay
+  /// std::function (they are copied across branches).
+  using DeliveryCallback = common::SmallFn<void(bool delivered), 40>;
   using RouteCallback =
       common::SmallFn<void(bool delivered, std::size_t hops)>;
   using VisitCallback = std::function<void(NodeId)>;

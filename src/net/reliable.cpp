@@ -11,10 +11,41 @@ namespace pgrid::net {
 ReliableChannel::ReliableChannel(Network& network, common::Rng rng)
     : network_(network), rng_(rng) {}
 
+ReliableChannel::Transfer* ReliableChannel::acquire() {
+  if (free_ == nullptr) {
+    pool_.push_back(std::make_unique<Transfer[]>(kPoolChunk));
+    Transfer* chunk = pool_.back().get();
+    for (std::size_t i = 0; i < kPoolChunk; ++i) {
+      chunk[i].next = free_;
+      free_ = &chunk[i];
+    }
+  }
+  Transfer* t = free_;
+  free_ = t->next;
+  t->next = nullptr;
+  ++live_;
+  return t;
+}
+
+void ReliableChannel::release(Transfer* t) {
+  *t = Transfer{};
+  t->next = free_;
+  free_ = t;
+  --live_;
+}
+
+template <void (ReliableChannel::*Step)(ReliableChannel::Transfer*)>
+void ReliableChannel::schedule_step(sim::SimTime delay, Transfer* t) {
+  auto event = [this, t] { (this->*Step)(t); };
+  static_assert(sim::Simulator::Callback::stores_inline<decltype(event)>,
+                "transfer events must not allocate");
+  network_.simulator().schedule(delay, std::move(event));
+}
+
 void ReliableChannel::unicast(NodeId src, NodeId dst, std::uint64_t bytes,
-                              Budget budget, DeliverCallback done) {
+                              Budget budget, Network::DeliveryCallback done) {
   ++stats_.messages;
-  auto t = std::make_shared<Transfer>();
+  Transfer* t = acquire();
   t->src = src;
   t->dst = dst;
   t->bytes = bytes;
@@ -24,15 +55,14 @@ void ReliableChannel::unicast(NodeId src, NodeId dst, std::uint64_t bytes,
   t->trace = network_.telemetry().current_trace();
   t->pair = (static_cast<std::uint64_t>(src) << 32) | dst;
   // Always asynchronous: the callback never fires inside this call.
-  network_.simulator().schedule(sim::SimTime::zero(),
-                                [this, t] { admit_or_queue(t); });
+  schedule_step<&ReliableChannel::admit_or_queue>(sim::SimTime::zero(), t);
 }
 
 void ReliableChannel::acked_transmit(NodeId from, NodeId to,
                                      std::uint64_t bytes, Budget budget,
-                                     DeliverCallback done) {
+                                     Network::DeliveryCallback done) {
   ++stats_.messages;
-  auto t = std::make_shared<Transfer>();
+  Transfer* t = acquire();
   t->src = from;
   t->dst = to;
   t->bytes = bytes;
@@ -41,23 +71,26 @@ void ReliableChannel::acked_transmit(NodeId from, NodeId to,
   t->done = std::move(done);
   t->trace = network_.telemetry().current_trace();
   t->single_hop = true;
-  t->route = {from, to};
-  network_.simulator().schedule(sim::SimTime::zero(),
-                                [this, t] { begin(t); });
+  schedule_step<&ReliableChannel::begin>(sim::SimTime::zero(), t);
 }
 
-void ReliableChannel::admit_or_queue(const std::shared_ptr<Transfer>& t) {
+void ReliableChannel::admit_or_queue(Transfer* t) {
   PairState& pair = pairs_[t->pair];
   if (pair.in_flight >= kWindow) {
     ++stats_.queued;
-    pair.waiting.push_back(t);
+    if (pair.tail != nullptr) {
+      pair.tail->next = t;
+    } else {
+      pair.head = t;
+    }
+    pair.tail = t;
     return;
   }
   ++pair.in_flight;
   begin(t);
 }
 
-void ReliableChannel::begin(const std::shared_ptr<Transfer>& t) {
+void ReliableChannel::begin(Transfer* t) {
   // Re-establish the originating trace: a window-queued transfer starts
   // from whatever event freed the slot, but its frames (and retransmits)
   // must charge the conversation that sent it.
@@ -80,15 +113,28 @@ void ReliableChannel::begin(const std::shared_ptr<Transfer>& t) {
   hop_cycle(t);
 }
 
-void ReliableChannel::hop_cycle(const std::shared_ptr<Transfer>& t) {
+namespace {
+/// The link a transfer's current hop crosses: src -> dst for a single hop,
+/// route[hop] -> route[hop + 1] otherwise.
+template <typename T>
+NodeId hop_from(const T& t) {
+  return t.single_hop ? t.src : t.route[t.hop];
+}
+template <typename T>
+NodeId hop_to(const T& t) {
+  return t.single_hop ? t.dst : t.route[t.hop + 1];
+}
+}  // namespace
+
+void ReliableChannel::hop_cycle(Transfer* t) {
   const sim::SimTime now = network_.simulator().now();
   if (t->budget.expired(now)) {
     ++stats_.expired;
     finish(t, false);
     return;
   }
-  const NodeId from = t->route[t->hop];
-  const NodeId to = t->route[t->hop + 1];
+  const NodeId from = hop_from(*t);
+  const NodeId to = hop_to(*t);
   if (!breakers_.admit(link_key(from, to), now)) {
     // Route discovery only avoids fully-open breakers, so a half-open link
     // whose probe another transfer already holds can still be on the route
@@ -101,53 +147,61 @@ void ReliableChannel::hop_cycle(const std::shared_ptr<Transfer>& t) {
       finish(t, false);
       return;
     }
-    network_.simulator().schedule(delay, [this, t] { route_failed(t); });
+    schedule_step<&ReliableChannel::route_failed>(delay, t);
     return;
   }
   ++t->attempt;
   ++stats_.data_frames;
   if (t->attempt > 1) ++stats_.retransmissions;
-  network_.transmit(from, to, t->bytes, [this, t](bool data_ok) {
-    const NodeId hop_from = t->route[t->hop];
-    const NodeId hop_to = t->route[t->hop + 1];
-    const sim::SimTime at = network_.simulator().now();
-    if (!data_ok) {
-      breakers_.record_failure(link_key(hop_from, hop_to), at);
-      retry_or_abandon(t);
-      return;
-    }
-    // Receiver side: first acceptance forwards (and, at the destination,
-    // counts as THE delivery); a retransmission after a lost ACK is
-    // suppressed and only re-acknowledged.
-    if (accept(t, hop_to)) {
-      if (hop_to == t->dst && probe_) probe_(t->dst, t->seq);
-    } else {
-      ++stats_.duplicates_suppressed;
-    }
-    ++stats_.ack_frames;
-    network_.transmit(hop_to, hop_from, kAckBytes,
-                      [this, t](bool ack_ok) {
-                        const NodeId a = t->route[t->hop];
-                        const NodeId b = t->route[t->hop + 1];
-                        const sim::SimTime when = network_.simulator().now();
-                        if (!ack_ok) {
-                          breakers_.record_failure(link_key(a, b), when);
-                          retry_or_abandon(t);
-                          return;
-                        }
-                        breakers_.record_success(link_key(a, b), when);
-                        ++t->hop;
-                        t->attempt = 0;
-                        if (t->hop + 1 >= t->route.size()) {
-                          finish(t, true);
-                          return;
-                        }
-                        hop_cycle(t);
-                      });
-  });
+  auto on_data = [this, t](bool data_ok) { data_done(t, data_ok); };
+  static_assert(Network::DeliveryCallback::stores_inline<decltype(on_data)>,
+                "the data-frame continuation must not allocate");
+  network_.transmit(from, to, t->bytes, std::move(on_data));
 }
 
-void ReliableChannel::retry_or_abandon(const std::shared_ptr<Transfer>& t) {
+void ReliableChannel::data_done(Transfer* t, bool data_ok) {
+  const NodeId hop_src = hop_from(*t);
+  const NodeId hop_dst = hop_to(*t);
+  if (!data_ok) {
+    breakers_.record_failure(link_key(hop_src, hop_dst),
+                             network_.simulator().now());
+    retry_or_abandon(t);
+    return;
+  }
+  // Receiver side: first acceptance forwards (and, at the destination,
+  // counts as THE delivery); a retransmission after a lost ACK is
+  // suppressed and only re-acknowledged.
+  if (accept(t, hop_dst)) {
+    if (hop_dst == t->dst && probe_) probe_(t->dst, t->seq);
+  } else {
+    ++stats_.duplicates_suppressed;
+  }
+  ++stats_.ack_frames;
+  auto on_ack = [this, t](bool ack_ok) { ack_done(t, ack_ok); };
+  static_assert(Network::DeliveryCallback::stores_inline<decltype(on_ack)>,
+                "the ACK continuation must not allocate");
+  network_.transmit(hop_dst, hop_src, kAckBytes, std::move(on_ack));
+}
+
+void ReliableChannel::ack_done(Transfer* t, bool ack_ok) {
+  const std::uint64_t link = link_key(hop_from(*t), hop_to(*t));
+  const sim::SimTime when = network_.simulator().now();
+  if (!ack_ok) {
+    breakers_.record_failure(link, when);
+    retry_or_abandon(t);
+    return;
+  }
+  breakers_.record_success(link, when);
+  ++t->hop;
+  t->attempt = 0;
+  if (t->single_hop || t->hop + 1 >= t->route.size()) {
+    finish(t, true);
+    return;
+  }
+  hop_cycle(t);
+}
+
+void ReliableChannel::retry_or_abandon(Transfer* t) {
   const sim::SimTime now = network_.simulator().now();
   if (t->attempt < kHopAttempts) {
     const sim::SimTime delay = backoff_delay(t->attempt);
@@ -155,7 +209,7 @@ void ReliableChannel::retry_or_abandon(const std::shared_ptr<Transfer>& t) {
       // The scheduled retransmission inherits the active trace (this runs
       // inside the transfer's own event chain), so the retry frames charge
       // the originating conversation.
-      network_.simulator().schedule(delay, [this, t] { hop_cycle(t); });
+      schedule_step<&ReliableChannel::hop_cycle>(delay, t);
       return;
     }
     ++stats_.expired;
@@ -165,7 +219,7 @@ void ReliableChannel::retry_or_abandon(const std::shared_ptr<Transfer>& t) {
   route_failed(t);
 }
 
-void ReliableChannel::route_failed(const std::shared_ptr<Transfer>& t) {
+void ReliableChannel::route_failed(Transfer* t) {
   const sim::SimTime now = network_.simulator().now();
   if (t->single_hop || t->budget.expired(now)) {
     if (t->budget.expired(now)) ++stats_.expired;
@@ -198,11 +252,10 @@ void ReliableChannel::route_failed(const std::shared_ptr<Transfer>& t) {
     finish(t, false);
     return;
   }
-  network_.simulator().schedule(delay, [this, t] { route_failed(t); });
+  schedule_step<&ReliableChannel::route_failed>(delay, t);
 }
 
-void ReliableChannel::finish(const std::shared_ptr<Transfer>& t,
-                             bool delivered) {
+void ReliableChannel::finish(Transfer* t, bool delivered) {
   if (delivered) {
     ++stats_.delivered;
   } else {
@@ -212,21 +265,26 @@ void ReliableChannel::finish(const std::shared_ptr<Transfer>& t,
     auto it = pairs_.find(t->pair);
     PairState& pair = it->second;
     --pair.in_flight;
-    while (pair.in_flight < kWindow && !pair.waiting.empty()) {
-      auto next = pair.waiting.front();
-      pair.waiting.pop_front();
+    while (pair.in_flight < kWindow && pair.head != nullptr) {
+      Transfer* next = pair.head;
+      pair.head = next->next;
+      if (pair.head == nullptr) pair.tail = nullptr;
+      next->next = nullptr;
       ++pair.in_flight;
-      network_.simulator().schedule(sim::SimTime::zero(),
-                                    [this, next] { begin(next); });
+      schedule_step<&ReliableChannel::begin>(sim::SimTime::zero(), next);
     }
     // Idle pair (nothing in flight, so nothing queued): free its state.
     if (pair.in_flight == 0) pairs_.erase(it);
   }
-  DeliverCallback done = std::move(t->done);
+  // Free the slot before `done` runs, so a `done` that sends again reuses
+  // it.
+  Network::DeliveryCallback done = std::move(t->done);
+  release(t);
   if (done) done(delivered);
 }
 
-bool ReliableChannel::accept(const std::shared_ptr<Transfer>& t, NodeId node) {
+bool ReliableChannel::accept(Transfer* t, NodeId node) {
+  if (t->single_hop) return !std::exchange(t->dst_accepted, true);
   if (std::find(t->accepted.begin(), t->accepted.end(), node) !=
       t->accepted.end()) {
     return false;

@@ -31,13 +31,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/small_fn.hpp"
 #include "net/network.hpp"
 
 namespace pgrid::net {
@@ -212,7 +210,6 @@ struct ReliableStats {
 /// originated the send.
 class ReliableChannel {
  public:
-  using DeliverCallback = common::SmallFn<void(bool delivered)>;
   /// Test hook: fires once per message the instant its payload is first
   /// accepted at the destination (duplicates suppressed) — the witness for
   /// the exactly-once property.
@@ -237,61 +234,99 @@ class ReliableChannel {
   /// budgets instead re-route until the deadline).
   static constexpr std::size_t kMaxReroutes = 3;
 
+  /// Transfers per pool chunk.  Chunks never move, so a pointer a pending
+  /// event holds stays valid while the pool grows, and the pool grows one
+  /// chunk at a time rather than by doubling.
+  static constexpr std::size_t kPoolChunk = 64;
+
   ReliableChannel(Network& network, common::Rng rng);
+  /// Pending events and transmit completions hold `this`.
+  ReliableChannel(const ReliableChannel&) = delete;
+  ReliableChannel& operator=(const ReliableChannel&) = delete;
 
   /// Reliable unicast src -> dst: routes over the current topology, runs a
   /// data/ACK cycle per hop with backoff retransmission, re-routes around
   /// hops that exhaust their attempts (avoiding open-breaker links), and
   /// gives up when the budget expires.  `done` fires exactly once.
   void unicast(NodeId src, NodeId dst, std::uint64_t bytes, Budget budget,
-               DeliverCallback done);
+               Network::DeliveryCallback done);
 
   /// Single-hop acked transfer (no routing, no reroute): the tree
   /// aggregation's parent links use this.
   void acked_transmit(NodeId from, NodeId to, std::uint64_t bytes,
-                      Budget budget, DeliverCallback done);
+                      Budget budget, Network::DeliveryCallback done);
 
   const BreakerRegistry& link_breakers() const { return breakers_; }
   const ReliableStats& stats() const { return stats_; }
   /// (src, dst) pairs holding window state — a transfer in flight or
   /// queued.  An idle pair's state is freed, so a drained channel reads 0.
   std::size_t window_pairs() const { return pairs_.size(); }
+  /// Transfers in flight or queued; a drained channel reads 0.
+  std::size_t transfers_live() const { return live_; }
+  /// Transfer slots the pool holds (live plus free).  It grows one chunk
+  /// of kPoolChunk at a time and only when every slot is live.
+  std::size_t transfers_pooled() const { return pool_.size() * kPoolChunk; }
   void set_delivery_probe(DeliveryProbe probe) { probe_ = std::move(probe); }
 
  private:
+  /// One message in flight or queued.  Transfers live in the channel's pool
+  /// and every continuation of a transfer captures its raw pointer: each
+  /// transfer has exactly one pending continuation at a time (an event, a
+  /// transmit completion or a window-queue slot), and finish() returns it
+  /// to the pool only from inside that last continuation.
   struct Transfer {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
     std::uint64_t bytes = 0;
     std::uint64_t seq = 0;
     Budget budget;
-    DeliverCallback done;
+    Network::DeliveryCallback done;
     telemetry::TraceId trace = 0;
+    /// unicast's route.  A single hop (acked_transmit) is src -> dst and
+    /// leaves it empty.
     std::vector<NodeId> route;
     std::size_t hop = 0;      ///< index of the node currently holding the msg
     std::size_t attempt = 0;  ///< data/ACK cycles tried on the current hop
     std::size_t reroutes = 0;
     bool single_hop = false;  ///< acked_transmit: fixed route, no reroute
+    /// Single-hop duplicate suppression: the only receiver is dst.
+    bool dst_accepted = false;
     std::uint64_t pair = 0;   ///< window key (directed src->dst)
-    /// Receivers that already accepted the payload (duplicate suppression
-    /// lives and dies with the transfer).
+    /// Multi-hop receivers that already accepted the payload (duplicate
+    /// suppression lives and dies with the transfer).
     std::vector<NodeId> accepted;
+    /// Free-list link while pooled, window-queue link while queued.
+    Transfer* next = nullptr;
   };
 
+  /// Window state of one (src, dst) pair; queued transfers form an
+  /// intrusive FIFO through Transfer::next.
   struct PairState {
     std::size_t in_flight = 0;
-    std::deque<std::shared_ptr<Transfer>> waiting;
+    Transfer* head = nullptr;
+    Transfer* tail = nullptr;
   };
 
-  void admit_or_queue(const std::shared_ptr<Transfer>& t);
-  void begin(const std::shared_ptr<Transfer>& t);
-  void hop_cycle(const std::shared_ptr<Transfer>& t);
-  void retry_or_abandon(const std::shared_ptr<Transfer>& t);
-  void route_failed(const std::shared_ptr<Transfer>& t);
-  void finish(const std::shared_ptr<Transfer>& t, bool delivered);
+  /// A pooled transfer with default fields (allocates only to add a chunk).
+  Transfer* acquire();
+  /// Returns `t` to the pool.  Resetting drops its route and accepted
+  /// vectors outright, so recycled transfers retain no element capacity.
+  void release(Transfer* t);
+  /// Runs `Step` on `t` after `delay`; the event captures (this, t) only.
+  template <void (ReliableChannel::*Step)(Transfer*)>
+  void schedule_step(sim::SimTime delay, Transfer* t);
+
+  void admit_or_queue(Transfer* t);
+  void begin(Transfer* t);
+  void hop_cycle(Transfer* t);
+  void data_done(Transfer* t, bool data_ok);
+  void ack_done(Transfer* t, bool ack_ok);
+  void retry_or_abandon(Transfer* t);
+  void route_failed(Transfer* t);
+  void finish(Transfer* t, bool delivered);
   /// First acceptance of the transfer at `node`?  (False => duplicate,
   /// re-ACK only.)
-  bool accept(const std::shared_ptr<Transfer>& t, NodeId node);
+  bool accept(Transfer* t, NodeId node);
   sim::SimTime backoff_delay(std::size_t attempt);
   /// Min-hop BFS over the topology snapshot, skipping links whose breaker
   /// is open (cooling).  Deterministic: ascending-id adjacency rows.
@@ -305,6 +340,9 @@ class ReliableChannel {
   DeliveryProbe probe_;
   std::uint64_t next_seq_ = 1;
   std::map<std::uint64_t, PairState> pairs_;
+  std::vector<std::unique_ptr<Transfer[]>> pool_;
+  Transfer* free_ = nullptr;
+  std::size_t live_ = 0;
 };
 
 }  // namespace pgrid::net

@@ -251,44 +251,65 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
 
   // Transmit deepest level first so parents hold complete subtree states
   // when their turn comes (TAG's epoch schedule).
-  auto run_level = std::make_shared<std::function<void(std::size_t)>>();
-  *run_level = [this, round, partials, run_level, routing_tree,
+  // `*run_level` refers to itself weakly; whoever calls it (this
+  // function, then each level's context) holds it strongly.  So a round
+  // dropped mid-flight, its events destroyed at teardown, frees it.
+  using RunLevel = std::function<void(std::size_t)>;
+  auto run_level = std::make_shared<RunLevel>();
+  *run_level = [this, round, partials,
+                self = std::weak_ptr<RunLevel>(run_level), routing_tree,
                 budget](std::size_t depth) {
+    const std::shared_ptr<RunLevel> run_level = self.lock();
     if (depth == 0) {
       // All partial states have arrived at (or failed before) the base.
       round->result.aggregate = (*partials)[base_].state;
       round->result.reports = (*partials)[base_].reports;
       finish_round(round);
-      // `*run_level` captures `run_level`; break the cycle (deferred:
-      // destroying the std::function currently executing is UB).
-      network_.simulator().schedule(sim::SimTime::zero(),
-                                    [run_level] { *run_level = nullptr; });
+      // The last reference dies in a later event: destroying the
+      // std::function currently executing is UB.
+      network_.simulator().schedule(sim::SimTime::zero(), [run_level] {});
       return;
     }
     const auto level_nodes = routing_tree->level(depth);
-    auto pending = std::make_shared<std::size_t>(level_nodes.size());
     if (level_nodes.empty()) {
       (*run_level)(depth - 1);
       return;
     }
+    // One context per level, shared by its nodes' completions, so each
+    // completion captures only (level, id, parent).
+    struct Level {
+      std::shared_ptr<std::vector<Partial>> partials;
+      std::shared_ptr<RunLevel> run_level;
+      std::size_t pending;
+      std::size_t depth;
+
+      void advance() {
+        if (--pending == 0) (*run_level)(depth - 1);
+      }
+    };
+    auto level = std::make_shared<Level>(
+        Level{partials, run_level, level_nodes.size(), depth});
     for (net::NodeId id : level_nodes) {
       const net::NodeId parent = routing_tree->parent(id);
-      const Partial& held = (*partials)[id];
-      auto advance = [this, pending, run_level, depth] {
-        if (--*pending == 0) (*run_level)(depth - 1);
-      };
-      if (held.state.count == 0 || !network_.alive(id)) {
-        network_.simulator().schedule(sim::SimTime::zero(), advance);
+      if ((*partials)[id].state.count == 0 || !network_.alive(id)) {
+        network_.simulator().schedule(sim::SimTime::zero(),
+                                      [level] { level->advance(); });
         continue;
       }
-      auto complete = [partials, parent, to_send = held, advance](bool ok) {
+      // partials[id] is read at completion, not copied at send: every
+      // merge into it came from depth + 1, and that whole level completed
+      // before this one ran.
+      auto complete = [level, id, parent](bool ok) {
         if (ok) {
-          Partial& into = (*partials)[parent];
-          into.state.merge(to_send.state);
-          into.reports += to_send.reports;
+          std::vector<Partial>& held = *level->partials;
+          held[parent].state.merge(held[id].state);
+          held[parent].reports += held[id].reports;
         }
-        advance();
+        level->advance();
       };
+      static_assert(
+          net::Network::DeliveryCallback::stores_inline<decltype(complete)>,
+          "a tree-round completion must not allocate");
       // Under acked delivery a lost partial state is retransmitted instead
       // of silently shrinking the subtree.
       network_.deliver_hop(id, parent, config_.state_bytes, budget,

@@ -6,10 +6,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <thread>
 
+#include "common/log.hpp"
 #include "common/result.hpp"
 #include "common/small_fn.hpp"
 #include "common/rng.hpp"
@@ -304,6 +306,58 @@ TEST(SmallFn, HeapFallbackForLargeCaptures) {
   EXPECT_DOUBLE_EQ(got, 36.0);
 }
 
+TEST(SmallFn, FortyByteBufferFitsACompletionEvent) {
+  // The delivery-callback shape: a 40-byte buffer plus the ops pointer,
+  // padded to the 16-byte alignment, is 48 bytes.
+  using Fn = SmallFn<void(bool), 40>;
+  static_assert(sizeof(Fn) == 48, "40-byte buffer must make a 48-byte fn");
+  struct FortyBytes {
+    char bytes[40];
+    void operator()(bool) {}
+  };
+  struct FortyOneBytes {
+    char bytes[41];
+    void operator()(bool) {}
+  };
+  static_assert(Fn::stores_inline<FortyBytes>, "40 bytes must fit inline");
+  static_assert(!Fn::stores_inline<FortyOneBytes>, "41 bytes must spill");
+  // A completion event (the callback plus its outcome) fits a 64-byte
+  // event buffer; a 64-byte-buffer callback plus the outcome would not.
+  struct Completion {
+    Fn cb;
+    bool ok;
+    void operator()() { cb(ok); }
+  };
+  struct WideCompletion {
+    SmallFn<void(bool), 64> cb;
+    bool ok;
+    void operator()() { cb(ok); }
+  };
+  static_assert(SmallFn<void(), 64>::stores_inline<Completion>,
+                "a 40-byte-buffer completion must fit a 64-byte event");
+  static_assert(!SmallFn<void(), 64>::stores_inline<WideCompletion>,
+                "a 64-byte-buffer completion spills a 64-byte event");
+
+  int calls = 0;
+  bool last = false;
+  SmallFn<void(), 64> event(
+      Completion{Fn([&calls, &last](bool ok) {
+                   ++calls;
+                   last = ok;
+                 }),
+                 true});
+  event();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(last);
+  // A spilled capture still works at this buffer size.
+  Fn spilled([big = FortyOneBytes{}, &calls](bool) mutable {
+    big(true);
+    ++calls;
+  });
+  spilled(false);
+  EXPECT_EQ(calls, 2);
+}
+
 TEST(SmallFn, MoveTransfersOwnership) {
   auto counter = std::make_shared<int>(0);
   SmallFn<void()> a([counter] { ++*counter; });
@@ -361,6 +415,29 @@ TEST(Result, ValueAndError) {
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.error(), "nope");
   EXPECT_THROW(bad.value(), std::runtime_error);
+}
+
+TEST(Log, TraceIsPerThread) {
+  // Two threads set different traces, wait until both have, then read
+  // back: each sees its own, and the main thread's is untouched.
+  set_log_trace(5);
+  std::atomic<int> set_count{0};
+  auto worker = [&set_count](std::uint64_t trace, std::uint64_t& seen) {
+    set_log_trace(trace);
+    set_count.fetch_add(1);
+    while (set_count.load() < 2) std::this_thread::yield();
+    seen = log_trace();
+  };
+  std::uint64_t seen_a = 0;
+  std::uint64_t seen_b = 0;
+  std::thread a(worker, 11, std::ref(seen_a));
+  std::thread b(worker, 22, std::ref(seen_b));
+  a.join();
+  b.join();
+  EXPECT_EQ(seen_a, 11u);
+  EXPECT_EQ(seen_b, 22u);
+  EXPECT_EQ(log_trace(), 5u);
+  set_log_trace(0);
 }
 
 }  // namespace

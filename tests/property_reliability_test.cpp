@@ -9,11 +9,19 @@
 //  3. Breakers: an open breaker never admits a send until the half-open
 //     probe succeeds; failed probes escalate the cooling period.
 //
-// Budget semantics and window queueing ride along as unit properties.
+// Budget semantics and window queueing ride along as unit properties, as
+// do the transfer pool's: steady-state acked hops allocate nothing, a
+// `done` that re-sends reuses the freed transfer, and teardown with
+// transfers in flight frees them all.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -24,6 +32,53 @@
 #include "sim/chaos.hpp"
 #include "sim/invariants.hpp"
 #include "sim/simulator.hpp"
+
+// Global allocation counter for the allocation tests.  Replacing the
+// global operator new here covers this test binary only; it counts while
+// `g_count_allocations` is set and otherwise just forwards to malloc.  Every
+// plain and array, throwing and nothrow form is replaced, so each delete
+// frees memory its own family allocated (the sanitizer runtime checks).
+namespace {
+bool g_count_allocations = false;
+std::size_t g_allocations = 0;
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (g_count_allocations) ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+// GCC pairs the inlined free() with the new-expression and warns; the
+// replacement operator new above is exactly what that memory came from.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace pgrid {
 namespace {
@@ -235,6 +290,256 @@ TEST(ReliableChannel, BlownBudgetFailsWithoutTraffic) {
   EXPECT_EQ(channel.stats().expired, 1u);
   EXPECT_EQ(channel.stats().data_frames, 0u)
       << "an expired budget must not buy any transmissions";
+}
+
+// ---------------------------------------------------------------------------
+// Transfer pool
+// ---------------------------------------------------------------------------
+
+/// Two nodes joined only by a lossless wired link (1 km apart, far beyond
+/// radio range): every transmit succeeds unless a fault drops it.
+std::pair<NodeId, NodeId> wired_pair(net::Network& net) {
+  const NodeId a = net.add_node(mesh_node(0, 0));
+  const NodeId b = net.add_node(mesh_node(1000, 0));
+  net.add_wired_link(a, b);
+  return {a, b};
+}
+
+TEST(TransferPool, SteadyStateAckedHopsDoNotAllocate) {
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(99));
+  const auto [a, b] = wired_pair(net);
+  net::ReliableChannel channel(net, common::Rng(5));
+
+  constexpr int kHops = 200;
+  int delivered = 0;
+  auto burst = [&] {
+    for (int i = 0; i < kHops; ++i) {
+      const NodeId from = i % 2 == 0 ? a : b;
+      channel.acked_transmit(from, from == a ? b : a, 64, Budget::unlimited(),
+                             [&delivered](bool ok) { delivered += ok; });
+    }
+    sim.run();
+  };
+  burst();  // warm-up: pool chunks, event slab, ledger rows
+  ASSERT_EQ(delivered, kHops);
+  const std::size_t pooled = channel.transfers_pooled();
+
+  g_allocations = 0;
+  g_count_allocations = true;
+  burst();
+  g_count_allocations = false;
+
+  EXPECT_EQ(g_allocations, 0u)
+      << "acked hops allocated after warm-up (pool, route or callback)";
+  EXPECT_EQ(delivered, 2 * kHops);
+  EXPECT_EQ(channel.stats().data_frames, 2u * kHops);
+  EXPECT_EQ(channel.transfers_pooled(), pooled) << "the pool must not grow";
+  EXPECT_EQ(channel.transfers_live(), 0u);
+}
+
+TEST(TransferPool, DoneThatResendsReusesTheFreedTransfer) {
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(99));
+  const auto [a, b] = wired_pair(net);
+  net::ReliableChannel channel(net, common::Rng(5));
+
+  // Each `done` sends the next message, so exactly one transfer is ever
+  // live — and none while `done` runs: the slot is freed first.
+  struct Chain {
+    net::ReliableChannel& channel;
+    NodeId from;
+    NodeId to;
+    int remaining;
+    int delivered = 0;
+    std::vector<std::size_t> live_in_done;
+
+    void send() {
+      --remaining;
+      channel.acked_transmit(from, to, 64, Budget::unlimited(),
+                             [this](bool ok) {
+                               delivered += ok;
+                               live_in_done.push_back(
+                                   channel.transfers_live());
+                               if (remaining > 0) send();
+                             });
+    }
+  };
+  Chain warm_up{channel, a, b, 1, 0, {}};  // event slab, ledger rows
+  warm_up.send();
+  sim.run();
+  constexpr int kMessages = 300;
+  Chain chain{channel, a, b, kMessages, 0, {}};
+  chain.live_in_done.reserve(kMessages);
+  chain.send();
+  g_allocations = 0;
+  g_count_allocations = true;
+  sim.run();
+  g_count_allocations = false;
+
+  EXPECT_EQ(chain.delivered, kMessages);
+  EXPECT_EQ(g_allocations, 0u) << "a re-send must reuse the freed slot";
+  EXPECT_EQ(channel.transfers_pooled(), net::ReliableChannel::kPoolChunk);
+  EXPECT_EQ(channel.transfers_live(), 0u);
+  ASSERT_EQ(chain.live_in_done.size(), static_cast<std::size_t>(kMessages));
+  for (std::size_t live : chain.live_in_done) EXPECT_EQ(live, 0u);
+}
+
+/// Drops one scripted frame per message: the transmit whose index since
+/// the message began equals `drop_frame[message]` (-1 = none).
+class ScriptedDrops final : public net::FaultInjector {
+ public:
+  std::vector<int> drop_frame;
+  int message = 0;
+  int frame = 0;
+
+  bool severed(NodeId, NodeId) const override { return false; }
+  HopEffect on_transmit(NodeId, NodeId, std::uint64_t) override {
+    HopEffect effect;
+    effect.drop = frame++ == drop_frame[message];
+    return effect;
+  }
+};
+
+TEST(TransferPool, RecycledTransfersStayExactlyOnceThroughDropsAndLostAcks) {
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(99));
+  const auto [a, b] = wired_pair(net);
+
+  // Every message runs in the slot the previous one freed.  A tight budget
+  // (10 ms against 2 ms per frame and >= 37.5 ms of backoff) turns the
+  // first lost frame into a give-up.  Clean messages separate the faulty
+  // ones, so no link breaker trips.
+  struct Step {
+    int drop_frame;  ///< 0 = first data frame, 1 = first ACK, -1 = none
+    bool tight_budget;
+    bool delivered;  ///< done's outcome
+    bool accepted;   ///< the destination took the payload (once)
+  };
+  const std::vector<Step> script = {
+      {0, false, true, true},    // data dropped: retransmitted
+      {-1, false, true, true},
+      {1, false, true, true},    // ACK lost: retransmit suppressed at b
+      {-1, false, true, true},   // runs in a slot that suppressed one
+      {0, true, false, false},   // data dropped, budget gone: gives up
+      {-1, false, true, true},
+      {1, true, false, true},    // ACK lost, budget gone: gives up
+      {-1, false, true, true},   // runs in a slot whose dst had accepted
+  };
+  constexpr int kMessages = 40;
+  ScriptedDrops drops;
+  for (int m = 0; m < kMessages; ++m) {
+    drops.drop_frame.push_back(script[m % script.size()].drop_frame);
+  }
+  net.set_fault_injector(&drops);
+  net::ReliableChannel channel(net, common::Rng(5));
+  std::map<std::uint64_t, int> accepts;  // seq -> first acceptances
+  channel.set_delivery_probe(
+      [&accepts](NodeId, std::uint64_t seq) { ++accepts[seq]; });
+
+  std::vector<int> done_count(kMessages, 0);
+  std::vector<bool> outcome(kMessages, false);
+  std::function<void()> send_next = [&] {
+    const int m = drops.message;
+    const Budget budget =
+        script[m % script.size()].tight_budget
+            ? Budget::until(sim.now() + sim::SimTime::milliseconds(10))
+            : Budget::unlimited();
+    channel.acked_transmit(a, b, 64, budget, [&, m](bool ok) {
+      ++done_count[m];
+      outcome[m] = ok;
+      if (m + 1 < kMessages) {
+        drops.message = m + 1;
+        drops.frame = 0;
+        send_next();
+      }
+    });
+  };
+  send_next();
+  sim.run();
+  net.set_fault_injector(nullptr);
+
+  std::uint64_t failures = 0;
+  std::uint64_t suppressed = 0;
+  for (int m = 0; m < kMessages; ++m) {
+    const Step& step = script[m % script.size()];
+    EXPECT_EQ(done_count[m], 1) << "message " << m;
+    EXPECT_EQ(outcome[m], step.delivered) << "message " << m;
+    // Sequence numbers start at 1 and follow the send order.
+    const auto it = accepts.find(static_cast<std::uint64_t>(m) + 1);
+    EXPECT_EQ(it == accepts.end() ? 0 : it->second, step.accepted ? 1 : 0)
+        << "message " << m;
+    failures += step.delivered ? 0 : 1;
+    suppressed += step.drop_frame == 1 && !step.tight_budget ? 1 : 0;
+  }
+  const auto& stats = channel.stats();
+  EXPECT_EQ(stats.failed, failures);
+  EXPECT_EQ(stats.expired, failures);
+  EXPECT_EQ(stats.duplicates_suppressed, suppressed)
+      << "a lost ACK is re-acknowledged, never re-delivered";
+  EXPECT_EQ(stats.retransmissions, 2u * kMessages / script.size());
+  EXPECT_EQ(channel.link_breakers().stats().opens, 0u);
+  EXPECT_EQ(channel.transfers_pooled(), net::ReliableChannel::kPoolChunk);
+  EXPECT_EQ(channel.transfers_live(), 0u);
+}
+
+TEST(TransferPool, TeardownWithTransfersInFlightFreesThem) {
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(99));
+  auto nodes = build_mesh(net);
+  // Each `done` holds a reference; once the channel is gone, every one
+  // of them must have been destroyed.
+  auto token = std::make_shared<int>(0);
+  {
+    net::ReliableChannel channel(net, common::Rng(5));
+    const int sends = static_cast<int>(net::ReliableChannel::kWindow) + 3;
+    for (int i = 0; i < sends; ++i) {
+      channel.unicast(nodes.front(), nodes.back(), 64, Budget::unlimited(),
+                      [token](bool) { ++*token; });
+      channel.acked_transmit(nodes[0], nodes[1], 64, Budget::unlimited(),
+                             [token](bool) { ++*token; });
+    }
+    // Run a little: some transfers are mid-hop, some still window-queued.
+    for (int i = 0; i < 12; ++i) sim.step();
+    EXPECT_GT(channel.transfers_live(), 0u);
+    EXPECT_GT(channel.window_pairs(), 0u);
+    sim.clear();  // their pending events are dropped, not fired
+  }
+  EXPECT_EQ(token.use_count(), 1) << "a transfer's callback outlived it";
+}
+
+TEST(TransferPool, RuntimeTeardownWithTransfersInFlightLeaksNothing) {
+  // Destroyed mid-collection, with a query's all-to-base round and a tree
+  // round in flight; the asan-ubsan preset's leak check is the assertion
+  // that nothing the channel or the rounds own survives.
+  core::RuntimeConfig config;
+  config.seed = 7;
+  config.sensors.sensor_count = 25;
+  config.sensors.width_m = 46.0;
+  config.sensors.height_m = 46.0;
+  config.sensors.base_pos = {-5, -5, 0};
+  config.advertise_sensor_services = false;
+  config.pde_resolution = 13;
+  config.reliability.enabled = true;
+  auto runtime = std::make_unique<core::PervasiveGridRuntime>(config);
+  bool tree_done = false;
+  runtime->sensors().collect_tree_aggregate(
+      runtime->field(),
+      [&tree_done](sensornet::CollectionResult) { tree_done = true; });
+  bool answered = false;
+  runtime->submit_with_model("SELECT AVG(temp) FROM sensors",
+                             partition::SolutionModel::kAllToBase,
+                             [&answered](core::QueryOutcome) {
+                               answered = true;
+                             });
+  const net::ReliableChannel& channel = *runtime->reliable_channel();
+  for (int i = 0; i < 100000 && channel.transfers_live() < 10; ++i) {
+    if (!runtime->simulator().step()) break;
+  }
+  EXPECT_GE(channel.transfers_live(), 10u);
+  EXPECT_FALSE(answered);
+  EXPECT_FALSE(tree_done);
+  runtime.reset();
 }
 
 // ---------------------------------------------------------------------------
