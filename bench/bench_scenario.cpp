@@ -18,6 +18,10 @@
 //                   size) running local + cross-region queries and bulk
 //                   backhaul flows end to end in flow mode — the scenario
 //                   the per-hop packet tier cannot reach.
+//              A hop-path series records the host cost of one hop on one
+//              1600-sensor region: analytic tree rounds per second and
+//              packet transmit()s per second (recorded; gated only on the
+//              simulated counts).
 //
 //   --load     EXP-Q1 — multi-query sharing under sustained load.  An
 //              overlap sweep submits G canonical groups x F subscribers on
@@ -148,6 +152,76 @@ std::vector<QueryFingerprint> run_query_suite(core::RuntimeConfig config) {
     prints.push_back(p);
   }
   return prints;
+}
+
+// --- EXP-N2 hop-path host cost ---------------------------------------------
+
+struct HopPathResult {
+  std::size_t tree_sensors = 0;  ///< sensors in the sink tree
+  std::size_t tree_edges = 0;
+  std::size_t rounds = 0;
+  std::uint64_t tree_epochs = 0;
+  std::uint64_t analytic_hops = 0;
+  double rounds_per_s = 0.0;
+  std::uint64_t transmits = 0;
+  std::uint64_t transmissions = 0;  ///< link-layer attempts they made
+  double transmits_per_s = 0.0;
+};
+
+/// Host cost of the per-hop path both tiers share (link resolution, the
+/// closed forms, a round's bookkeeping): `rounds` analytic TAG rounds on a
+/// flow-tier region, then `passes` packet transmit()s over every sink-tree
+/// edge of the same deployment on the packet tier.
+HopPathResult run_hop_path(std::size_t sensors, std::size_t rounds,
+                           std::size_t passes) {
+  using Clock = std::chrono::steady_clock;
+  HopPathResult out;
+  out.rounds = rounds;
+  {
+    auto config = bench::standard_config(sensors);
+    config.flow.enabled = true;
+    core::PervasiveGridRuntime runtime(config);
+    const net::SinkTree& tree = runtime.sensors().tree();
+    out.tree_edges = tree.bfs_order().size() - 1;
+    for (net::NodeId id : runtime.sensors().sensors()) {
+      if (tree.contains(id)) ++out.tree_sensors;
+    }
+    const net::FlowStats before = runtime.flow_model()->stats();
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < rounds; ++i) {
+      runtime.sensors().collect_tree_aggregate(
+          runtime.field(), [](sensornet::CollectionResult) {});
+      runtime.simulator().run();
+    }
+    const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+    const net::FlowStats& after = runtime.flow_model()->stats();
+    out.tree_epochs = after.tree_epochs - before.tree_epochs;
+    out.analytic_hops = after.analytic_hops - before.analytic_hops;
+    out.rounds_per_s = s > 0.0 ? static_cast<double>(rounds) / s : 0.0;
+  }
+  {
+    core::PervasiveGridRuntime runtime(bench::standard_config(sensors));
+    net::Network& network = runtime.network();
+    const net::SinkTree& tree = runtime.sensors().tree();
+    std::vector<std::pair<net::NodeId, net::NodeId>> edges;
+    for (net::NodeId id : tree.bfs_order()) {
+      if (id != tree.sink()) edges.emplace_back(id, tree.parent(id));
+    }
+    const std::uint64_t attempts_before = network.stats().transmissions;
+    const auto t0 = Clock::now();
+    for (std::size_t pass = 0; pass < passes; ++pass) {
+      for (const auto& [from, to] : edges) {
+        network.transmit(from, to, 24, [](bool) {});
+      }
+      runtime.simulator().run();
+    }
+    const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+    out.transmits = passes * edges.size();
+    out.transmissions = network.stats().transmissions - attempts_before;
+    out.transmits_per_s =
+        s > 0.0 ? static_cast<double>(out.transmits) / s : 0.0;
+  }
+  return out;
 }
 
 // --- EXP-N2 stage 3: the city ----------------------------------------------
@@ -303,6 +377,34 @@ int run_city_experiment(bench::Experiment& experiment, bool quick) {
                   same ? "YES" : "NO"});
   }
   experiment.series("kill_switch", kill);
+
+  // Hop-path host cost on one 1600-sensor region.  Host rates are
+  // recorded for the trajectory; the gate checks only simulated counts:
+  // every round is one analytic epoch with one hop per sensor in the tree
+  // (each holds at least its own sample), and every transmit made at least
+  // one link-layer attempt.
+  const HopPathResult hop = run_hop_path(1600, quick ? 100 : 1000,
+                                         quick ? 20 : 200);
+  const bool hop_pass =
+      hop.tree_sensors > 0 && hop.tree_epochs == hop.rounds &&
+      hop.analytic_hops == hop.rounds * hop.tree_sensors &&
+      hop.transmissions >= hop.transmits;
+  ok = ok && hop_pass;
+  common::Table hop_table({"sensors", "tree sensors", "tree edges",
+                           "tree rounds",
+                           "analytic hops", "tree rounds/s (host)",
+                           "transmits", "attempts", "transmits/s (host)",
+                           "gate"});
+  hop_table.add_row({"1600", std::to_string(hop.tree_sensors),
+                     std::to_string(hop.tree_edges),
+                     std::to_string(hop.rounds),
+                     std::to_string(hop.analytic_hops),
+                     common::Table::num(hop.rounds_per_s, 1),
+                     std::to_string(hop.transmits),
+                     std::to_string(hop.transmissions),
+                     common::Table::num(hop.transmits_per_s, 0),
+                     hop_pass ? "PASS" : "FAIL"});
+  experiment.series("hop_path", hop_table);
 
   // Stage 3: the city itself.
   const std::size_t regions = quick ? 4 : 36;

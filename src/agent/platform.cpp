@@ -280,8 +280,9 @@ void TranscodingDeputy::deliver(AgentPlatform& platform, net::NodeId src_node,
   auto route = net::cached_shortest_path(platform.network(), src_node,
                                          dest_node);
   if (route.size() >= 2) {
-    auto link = platform.network().link_between(route[0], route[1]);
-    if (link && link->bandwidth_bps < threshold_bps_) {
+    const net::LinkClass* link =
+        platform.network().link_between(route[0], route[1]);
+    if (link != nullptr && link->bandwidth_bps < threshold_bps_) {
       const auto header = bytes - envelope.payload.size();
       const auto shrunk = static_cast<std::uint64_t>(
           static_cast<double>(envelope.payload.size()) * shrink_factor_);

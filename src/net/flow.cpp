@@ -65,11 +65,12 @@ void FlowModel::set_region_fidelity(RegionId region, Fidelity fidelity) {
 }
 
 Fidelity FlowModel::region_fidelity(RegionId region) const {
+  if (region_fidelity_.empty()) return config_.default_fidelity;
   auto it = region_fidelity_.find(region);
   return it == region_fidelity_.end() ? config_.default_fidelity : it->second;
 }
 
-bool FlowModel::hop_eligible(NodeId a, NodeId b) const {
+bool FlowModel::tier_open() const {
   if (!config_.enabled) return false;
   // An armed injector's drops/duplicates/jitter are per-transmit effects
   // the analytic tier cannot reproduce; chaos forces packet fidelity.
@@ -77,7 +78,11 @@ bool FlowModel::hop_eligible(NodeId a, NodeId b) const {
   // An attached reliable channel makes every hop packet fidelity: per-hop
   // ACK/retransmit semantics are exactly what the analytic tier must not
   // approximate.
-  if (network_.reliable_channel() != nullptr) return false;
+  return network_.reliable_channel() == nullptr;
+}
+
+bool FlowModel::hop_eligible(NodeId a, NodeId b) const {
+  if (!tier_open()) return false;
   if (region_fidelity(network_.region_of(a)) != Fidelity::kFlow) return false;
   if (region_fidelity(network_.region_of(b)) != Fidelity::kFlow) return false;
   return true;
@@ -93,6 +98,13 @@ bool FlowModel::route_eligible(const std::vector<NodeId>& route) const {
 
 bool FlowModel::tree_eligible(const SinkTree& tree) const {
   if (!config_.enabled) return false;
+  // A tree with no parent edge has no hop to refuse.
+  if (tree.max_depth() == 0) return true;
+  // Without a region override every edge asks the same deployment-wide
+  // question, so the answer does not depend on the tree.
+  if (region_fidelity_.empty()) {
+    return tier_open() && config_.default_fidelity == Fidelity::kFlow;
+  }
   for (NodeId id : tree.bfs_order()) {
     if (id == tree.sink()) continue;
     if (!hop_eligible(id, tree.parent(id))) return false;
@@ -104,27 +116,31 @@ bool FlowModel::tree_eligible(const SinkTree& tree) const {
 
 bool FlowModel::hop_outcome(NodeId a, NodeId b, std::uint64_t bytes,
                             HopOutcome& out) const {
-  const auto link = network_.link_between(a, b);
-  if (!link) return false;
-  const Node& sender = network_.nodes_[a];
-  const Node& receiver = network_.nodes_[b];
-  const std::size_t retries = network_.max_retries_;
-  out.loss_p = std::clamp(link->loss_prob, 0.0, 1.0);
-  out.success_p = hop_success_p(out.loss_p, retries);
-  out.expected_attempts = expected_attempts(out.loss_p, retries);
-  out.base_latency = link->transfer_time(bytes);
-  out.latency = scaled_time(out.base_latency, out.expected_attempts);
+  const LinkClass* link = network_.link_between(a, b);
+  if (link == nullptr) return false;
+  const HopForms::Key key{link->loss_prob, network_.max_retries_,
+                          link->bandwidth_bps, link->latency, bytes};
+  if (!forms_.valid || !(forms_.key == key)) {
+    HopOutcome& forms = forms_.outcome;
+    forms.loss_p = std::clamp(key.loss_prob, 0.0, 1.0);
+    forms.success_p = hop_success_p(forms.loss_p, key.max_retries);
+    forms.expected_attempts = expected_attempts(forms.loss_p, key.max_retries);
+    forms.base_latency = link->transfer_time(bytes);
+    forms.latency = scaled_time(forms.base_latency, forms.expected_attempts);
+    forms_.key = key;
+    forms_.valid = true;
+  }
+  out = forms_.outcome;  // its energy draws stay 0: they are per hop
   out.wireless = link->wireless;
-  out.tx_joules = 0.0;
-  out.rx_joules = 0.0;
   if (link->wireless) {
     const RadioEnergyModel radio;
-    if (!sender.energy.is_unlimited()) {
-      const double dist = distance(sender.pos, receiver.pos);
+    if (!network_.energy_[a].is_unlimited()) {
+      const double dist =
+          distance(network_.nodes_[a].pos, network_.nodes_[b].pos);
       out.tx_joules =
           out.expected_attempts * radio.tx_energy(bytes * 8, dist);
     }
-    if (!receiver.energy.is_unlimited()) {
+    if (!network_.energy_[b].is_unlimited()) {
       out.rx_joules = radio.rx_energy(bytes * 8);
     }
   }
@@ -155,7 +171,7 @@ bool FlowModel::charge_hop(NodeId a, NodeId b, std::uint64_t bytes,
   if (hop.tx_joules > 0.0) {
     net_stats.energy_j += hop.tx_joules;
     usage.joules += hop.tx_joules;
-    if (!network_.consume_energy(sender, hop.tx_joules)) ok = false;
+    if (!network_.consume_energy(a, hop.tx_joules)) ok = false;
   }
   if (ok) {
     receiver.rx_bytes += bytes;
@@ -163,7 +179,7 @@ bool FlowModel::charge_hop(NodeId a, NodeId b, std::uint64_t bytes,
     if (hop.rx_joules > 0.0) {
       net_stats.energy_j += hop.rx_joules;
       usage.joules += hop.rx_joules;
-      if (!network_.consume_energy(receiver, hop.rx_joules)) ok = false;
+      if (!network_.consume_energy(b, hop.rx_joules)) ok = false;
     }
   }
   if (ok) {

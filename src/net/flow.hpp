@@ -126,7 +126,8 @@ class FlowModel {
   /// Every consecutive hop of `route` is eligible (>= 2 nodes required).
   bool route_eligible(const std::vector<NodeId>& route) const;
   /// Every parent edge of the tree's reachable nodes is eligible — the
-  /// gate for the sensornet's whole-subtree analytic epoch.
+  /// gate for the sensornet's whole-subtree analytic epoch.  O(1) unless a
+  /// region override is installed; then each edge is checked.
   bool tree_eligible(const SinkTree& tree) const;
 
   // --- analytic service ----------------------------------------------------
@@ -140,7 +141,9 @@ class FlowModel {
                  RouteCallback cb);
 
   /// Expected attempts/latency/energy/success for hop a->b; false when no
-  /// usable link exists right now.
+  /// usable link exists right now.  The closed forms are memoised on the
+  /// last (link class, retry budget, bytes) seen; the energy draws are
+  /// per hop.
   bool hop_outcome(NodeId a, NodeId b, std::uint64_t bytes,
                    HopOutcome& out) const;
 
@@ -188,6 +191,28 @@ class FlowModel {
     std::size_t broken_hop = 0;  ///< first unusable hop when !viable
   };
 
+  /// hop_outcome's memo: the HopOutcome fields that depend only on `Key`
+  /// (all but `wireless` and the energy draws) for the last key seen.  One
+  /// entry: consecutive hops over one link class (every sensor edge of a
+  /// TAG round) share one evaluation of the std::pow closed forms.
+  struct HopForms {
+    struct Key {
+      double loss_prob = 0.0;
+      std::size_t max_retries = 0;
+      double bandwidth_bps = 0.0;
+      sim::SimTime latency;
+      std::uint64_t bytes = 0;
+      bool operator==(const Key&) const = default;
+    };
+    bool valid = false;
+    Key key;
+    HopOutcome outcome;
+  };
+
+  /// Tier enabled, no armed FaultInjector and no attached ReliableChannel:
+  /// the deployment-wide half of hop_eligible().
+  bool tier_open() const;
+
   static std::uint64_t plan_key(NodeId src, NodeId dst, std::uint64_t bytes);
   /// Synchronizes the plan cache with the network's (topology, liveness)
   /// versions — the exact RouteCache discipline, so mobility/churn/chaos/
@@ -212,6 +237,7 @@ class FlowModel {
   /// congestion_alpha > 0; empty otherwise).
   std::unordered_map<std::uint64_t, std::uint32_t> active_flows_;
   std::unordered_map<std::uint64_t, FlowPlan> plans_;
+  mutable HopForms forms_;  ///< hop_outcome's memo
   std::uint64_t plan_topology_version_ = 0;
   std::uint64_t plan_liveness_version_ = 0;
   bool plan_has_version_ = false;

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <stdexcept>
 
 #include "net/flow.hpp"
 #include "net/reliable.hpp"
@@ -32,9 +33,9 @@ NodeId Network::add_node(const NodeConfig& config) {
   node.pos = config.pos;
   node.kind = config.kind;
   node.radio = config.radio;
-  node.energy = config.unlimited_energy ? EnergyMeter::unlimited()
-                                        : EnergyMeter(config.battery_j);
   nodes_.push_back(std::move(node));
+  energy_.push_back(config.unlimited_energy ? EnergyMeter::unlimited()
+                                            : EnergyMeter(config.battery_j));
   if (config.radio.wireless) {
     grid_.insert(nodes_.back().id, config.pos, config.radio.range_m);
   }
@@ -62,42 +63,48 @@ void Network::add_wired_link(NodeId a, NodeId b, LinkClass link) {
 }
 
 bool Network::alive(NodeId id) const {
-  const Node& n = nodes_.at(id);
-  return n.up && !n.energy.dead();
+  return nodes_.at(id).up && !energy_[id].dead();
 }
 
-bool Network::consume_energy(Node& node, double joules) {
-  const bool was_dead = node.energy.dead();
-  const bool ok = node.energy.consume(joules);
+bool Network::consume_energy(NodeId id, double joules) {
+  EnergyMeter& meter = energy_[id];
+  const bool was_dead = meter.dead();
+  const bool ok = meter.consume(joules);
   // Battery death severs every link touching the node without going
   // through a topology bump; the internal liveness version keeps the
   // snapshot and route cache honest about it.
-  if (!was_dead && node.energy.dead()) {
-    note_scoped_change(node.id);
+  if (!was_dead && meter.dead()) {
+    note_scoped_change(id);
     ++liveness_version_;
   }
   return ok;
 }
 
 void Network::drain_energy(NodeId id, double joules) {
-  consume_energy(nodes_.at(id), joules);
+  if (id >= energy_.size()) throw std::out_of_range("drain_energy: no node");
+  consume_energy(id, joules);
 }
 
 const Network::WiredLink* Network::find_wired(NodeId a, NodeId b) const {
-  if (wired_index_.empty()) return nullptr;
+  if (a >= wired_peers_.size() || wired_peers_[a].empty()) return nullptr;
   auto it = wired_index_.find(pair_key(a, b));
   return it == wired_index_.end() ? nullptr : &wired_[it->second];
 }
 
-bool Network::connected(NodeId a, NodeId b) const {
-  if (a == b || !alive(a) || !alive(b)) return false;
-  if (fault_injector_ && fault_injector_->severed(a, b)) return false;
-  if (const WiredLink* w = find_wired(a, b)) return w->up;
-  const Node& na = nodes_[a];
-  const Node& nb = nodes_[b];
-  if (!na.radio.wireless || !nb.radio.wireless) return false;
-  const double d = distance(na.pos, nb.pos);
-  return d <= std::min(na.radio.range_m, nb.radio.range_m);
+const LinkClass* Network::link_between(NodeId a, NodeId b) const {
+  if (a == b) return nullptr;
+  if (fault_injector_ && fault_injector_->severed(a, b)) return nullptr;
+  if (!alive(a) || !alive(b)) return nullptr;
+  if (const WiredLink* w = find_wired(a, b)) return w->up ? &w->link : nullptr;
+  const LinkClass& la = nodes_[a].radio;
+  const LinkClass& lb = nodes_[b].radio;
+  if (!la.wireless || !lb.wireless) return nullptr;
+  if (!(distance(nodes_[a].pos, nodes_[b].pos) <=
+        std::min(la.range_m, lb.range_m))) {
+    return nullptr;
+  }
+  // Wireless: the slower radio bounds the hop.
+  return la.bandwidth_bps <= lb.bandwidth_bps ? &la : &lb;
 }
 
 void Network::collect_neighbors(NodeId id, std::vector<NodeId>& out) const {
@@ -356,23 +363,10 @@ void Network::bump_topology_version() {
   ++topology_version_;
 }
 
-std::optional<LinkClass> Network::link_between(NodeId a, NodeId b) const {
-  if (fault_injector_ && fault_injector_->severed(a, b)) return std::nullopt;
-  if (const WiredLink* w = find_wired(a, b)) {
-    if (!w->up) return std::nullopt;
-    return w->link;
-  }
-  if (!connected(a, b)) return std::nullopt;
-  // Wireless: the slower radio bounds the hop.
-  const LinkClass& la = nodes_[a].radio;
-  const LinkClass& lb = nodes_[b].radio;
-  return la.bandwidth_bps <= lb.bandwidth_bps ? la : lb;
-}
-
 void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
                        DeliveryCallback cb) {
-  auto link = link_between(from, to);
-  if (!link) {
+  const LinkClass* link = link_between(from, to);
+  if (link == nullptr) {
     // No usable link: fail asynchronously so callers see uniform semantics.
     auto fail = [cb = std::move(cb)]() mutable { cb(false); };
     static_assert(sim::Simulator::Callback::stores_inline<decltype(fail)>,
@@ -383,6 +377,8 @@ void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
 
   Node& sender = nodes_[from];
   Node& receiver = nodes_[to];
+  const bool sender_metered = !energy_[from].is_unlimited();
+  const bool receiver_metered = !energy_[to].is_unlimited();
   const double dist = distance(sender.pos, receiver.pos);
   const RadioEnergyModel radio_model;
 
@@ -429,11 +425,11 @@ void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
     ++usage.count;
     sender.tx_bytes += bytes;
     ++sender.tx_count;
-    if (!sender.energy.is_unlimited() && link->wireless) {
+    if (sender_metered && link->wireless) {
       const double e = radio_model.tx_energy(bytes * 8, dist);
       stats_.energy_j += e;
       usage.joules += e;
-      if (!consume_energy(sender, e)) sender_alive = false;
+      if (!consume_energy(from, e)) sender_alive = false;
     }
   }
   if (!sender_alive) success = false;
@@ -444,11 +440,11 @@ void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
   if (success) {
     receiver.rx_bytes += bytes;
     ++receiver.rx_count;
-    if (!receiver.energy.is_unlimited() && link->wireless) {
+    if (receiver_metered && link->wireless) {
       const double e = radio_model.rx_energy(bytes * 8);
       stats_.energy_j += e;
       usage.joules += e;
-      if (!consume_energy(receiver, e)) success = false;
+      if (!consume_energy(to, e)) success = false;
     }
   }
 
@@ -466,17 +462,17 @@ void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
     receiver.rx_bytes += bytes;
     ++receiver.rx_count;
     if (link->wireless) {
-      if (!sender.energy.is_unlimited()) {
+      if (sender_metered) {
         const double e = radio_model.tx_energy(bytes * 8, dist);
         stats_.energy_j += e;
         usage.joules += e;
-        consume_energy(sender, e);
+        consume_energy(from, e);
       }
-      if (!receiver.energy.is_unlimited()) {
+      if (receiver_metered) {
         const double e = radio_model.rx_energy(bytes * 8);
         stats_.energy_j += e;
         usage.joules += e;
-        consume_energy(receiver, e);
+        consume_energy(to, e);
       }
     }
   }
@@ -513,35 +509,37 @@ void Network::send_route(const std::vector<NodeId>& route, std::uint64_t bytes,
     }
     flow_model_->note_packet_fallback();
   }
-  // Hop-by-hop continuation: each delivery schedules the next hop.
-  auto state = std::make_shared<std::size_t>(0);
-  auto route_copy = std::make_shared<std::vector<NodeId>>(route);
-  auto step = std::make_shared<std::function<void()>>();
-  auto shared_cb = std::make_shared<RouteCallback>(std::move(cb));
-  // `*step` captures `step`, a cycle that must be broken on the terminal
-  // paths or the closure (and everything it holds) leaks.  The failure
-  // path clears it directly (we execute inside transmit's callback, not
-  // inside `*step`); the success path defers the clear to a zero-delay
-  // event because destroying the std::function currently executing is UB.
-  *step = [this, state, route_copy, bytes, step, shared_cb]() {
-    const std::size_t hop = *state;
-    if (hop + 1 >= route_copy->size()) {
-      (*shared_cb)(true, hop);
-      sim_.schedule(sim::SimTime::zero(), [step] { *step = nullptr; });
+  // Hop-by-hop continuation: each delivery sends the next hop.  The whole
+  // message is one shared RouteState, so a hop's completion is `this` plus
+  // one shared_ptr and stays inside DeliveryCallback's buffer.
+  route_step(std::make_shared<RouteState>(
+      RouteState{route, bytes, 0, std::move(cb)}));
+}
+
+void Network::route_step(std::shared_ptr<RouteState> state) {
+  const std::size_t hop = state->hop;
+  if (hop + 1 >= state->route.size()) {
+    state->cb(true, hop);
+    // The message state dies in a zero-delay event, not here: that event
+    // is part of the kernel's event sequence, on which every later
+    // equal-time tie breaks.
+    sim_.schedule(sim::SimTime::zero(), [state = std::move(state)] {});
+    return;
+  }
+  const NodeId from = state->route[hop];
+  const NodeId to = state->route[hop + 1];
+  const std::uint64_t bytes = state->bytes;
+  auto next = [this, state = std::move(state)](bool ok) mutable {
+    if (!ok) {
+      state->cb(false, state->hop);
       return;
     }
-    transmit((*route_copy)[hop], (*route_copy)[hop + 1], bytes,
-             [state, step, shared_cb](bool ok) {
-               if (!ok) {
-                 (*shared_cb)(false, *state);
-                 *step = nullptr;
-                 return;
-               }
-               ++(*state);
-               (*step)();
-             });
+    ++state->hop;
+    route_step(std::move(state));
   };
-  (*step)();
+  static_assert(DeliveryCallback::stores_inline<decltype(next)>,
+                "a best-effort hop's completion must not allocate");
+  transmit(from, to, bytes, std::move(next));
 }
 
 void Network::deliver(NodeId src, NodeId dst, std::uint64_t bytes,
@@ -744,24 +742,25 @@ void Network::reset_stats() {
 
 void Network::reset_energy() {
   reset_stats();
-  for (auto& n : nodes_) n.energy.reset();
+  for (auto& meter : energy_) meter.reset();
   // Mass resurrection: every dead node's links reappear at once.
   note_global_change();
   ++topology_version_;
 }
 
 double Network::battery_energy_consumed() const {
+  // In node order: the sum's rounding is part of every round's energy.
   double total = 0.0;
-  for (const auto& n : nodes_) {
-    if (!n.energy.is_unlimited()) total += n.energy.consumed();
+  for (const EnergyMeter& meter : energy_) {
+    if (!meter.is_unlimited()) total += meter.consumed();
   }
   return total;
 }
 
 std::size_t Network::dead_node_count() const {
   std::size_t count = 0;
-  for (const auto& n : nodes_) {
-    if (!n.energy.is_unlimited() && n.energy.dead()) ++count;
+  for (const EnergyMeter& meter : energy_) {
+    if (!meter.is_unlimited() && meter.dead()) ++count;
   }
   return count;
 }

@@ -48,13 +48,13 @@ struct NodeConfig {
   bool unlimited_energy = false;
 };
 
-/// Runtime state of a node.
+/// Runtime state of a node.  Its battery meter lives in the network's
+/// dense per-node array (Network::energy), not here.
 struct Node {
   NodeId id = kInvalidNode;
   Vec3 pos;
   NodeKind kind = NodeKind::kGeneric;
   LinkClass radio;
-  EnergyMeter energy;
   bool up = true;
 
   std::uint64_t tx_bytes = 0;
@@ -196,13 +196,19 @@ class Network {
   std::size_t size() const { return nodes_.size(); }
   Node& node(NodeId id) { return nodes_.at(id); }
   const Node& node(NodeId id) const { return nodes_.at(id); }
+  /// The node's battery meter.  Meters are held densely in node order, so
+  /// battery_energy_consumed() reads 24 bytes per node, not a whole Node;
+  /// draws go through the network (transmit, drain_energy, reset_energy).
+  const EnergyMeter& energy(NodeId id) const { return energy_.at(id); }
 
   /// Node is administratively up and has battery left.
   bool alive(NodeId id) const;
 
   /// Usable direct link exists right now (both alive; wireless in range or a
-  /// wired link is up).
-  bool connected(NodeId a, NodeId b) const;
+  /// wired link is up): link_between(a, b) != nullptr.
+  bool connected(NodeId a, NodeId b) const {
+    return link_between(a, b) != nullptr;
+  }
 
   /// All nodes directly reachable from `id` right now, ascending id order.
   /// Served from the spatial index + wired peer lists: only the 3x3x3 cell
@@ -230,8 +236,15 @@ class Network {
   /// network for the same reason as route_cache().
   HopTables& hop_tables() const { return hop_tables_; }
 
-  /// The link class a transmission a->b would use (wired link preferred).
-  std::optional<LinkClass> link_between(NodeId a, NodeId b) const;
+  /// The link a transmission a->b would use right now, or nullptr when
+  /// connected() would say no: the wired link's class if the pair has one
+  /// (nullptr while it is down), else the slower endpoint's radio when both
+  /// are wireless and in mutual range.  Checks run in a fixed order: self
+  /// pair, fault-injector cut, endpoint liveness, wired lookup (skipped
+  /// for nodes with no wired peers), radio range.  The pointer aims into
+  /// the node or wired-link table and stays valid until the next
+  /// add_node() / add_wired_link().
+  const LinkClass* link_between(NodeId a, NodeId b) const;
 
   /// Single-hop transfer with loss + bounded retransmission. Consumes radio
   /// energy on battery nodes; cb(false) after max_retries failed attempts or
@@ -395,6 +408,17 @@ class Network {
 
   struct SpreadState;  // shared bookkeeping for flood/gossip
 
+  /// One best-effort send_route message: the route, its payload, the next
+  /// hop to send and the caller's callback, shared by its hop completions.
+  struct RouteState {
+    std::vector<NodeId> route;
+    std::uint64_t bytes = 0;
+    std::size_t hop = 0;
+    RouteCallback cb;
+  };
+  /// Sends hop `state->hop` of the message, or completes it at the end.
+  void route_step(std::shared_ptr<RouteState> state);
+
   /// Canonical key for an unordered node pair (wired-link index).
   static std::uint64_t pair_key(NodeId a, NodeId b) {
     const NodeId lo = a < b ? a : b;
@@ -402,6 +426,8 @@ class Network {
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
   }
 
+  /// The first wired link added for {a, b}; no hash lookup when `a` has
+  /// no wired peers (every sensor).
   const WiredLink* find_wired(NodeId a, NodeId b) const;
   /// Shared entry point of flood() (fanout 0 = every neighbour) and
   /// gossip().
@@ -412,7 +438,7 @@ class Network {
   /// snapshot build; appends the sorted neighbour set of `id` to `out`.
   void collect_neighbors(NodeId id, std::vector<NodeId>& out) const;
   /// Energy draw that bumps liveness_version_ on a death transition.
-  bool consume_energy(Node& node, double joules);
+  bool consume_energy(NodeId id, double joules);
 
   /// Pending-delta accumulation (DESIGN.md S26).  Mutators call these
   /// BEFORE bumping a version, so the base versions the delta advances
@@ -439,6 +465,7 @@ class Network {
   common::Rng rng_;
   telemetry::CostLedger ledger_;
   std::vector<Node> nodes_;
+  std::vector<EnergyMeter> energy_;  ///< per node, in node order
   std::vector<WiredLink> wired_;
   /// (min,max) pair -> index of the first wired_ entry for that pair; the
   /// first link added wins, matching the historical linear-scan semantics.

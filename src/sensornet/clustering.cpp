@@ -70,7 +70,7 @@ std::vector<Cluster> form_clusters(const net::Network& network,
     double best_d = std::numeric_limits<double>::infinity();
     for (net::NodeId id : cluster.members) {
       const auto& node = network.node(id);
-      const double energy = node.energy.remaining();
+      const double energy = network.energy(id).remaining();
       const double d = distance(node.pos, cluster.centroid);
       if (energy > best_energy ||
           (energy == best_energy && d < best_d)) {

@@ -380,7 +380,8 @@ void ChaosEngine::expire(std::size_t index) {
       // re-association).  Charged under the fault's trace, which this
       // event inherited from apply().
       net::Node& node = network_.node(fault.node);
-      if (!node.energy.is_unlimited() && fault.magnitude > 0.0) {
+      if (!network_.energy(fault.node).is_unlimited() &&
+          fault.magnitude > 0.0) {
         // Routed through the network so a reboot that exhausts the battery
         // invalidates the adjacency snapshot and route cache.
         network_.drain_energy(fault.node, fault.magnitude);

@@ -123,7 +123,7 @@ TEST_F(ChaosEngineTest, BlackoutSeversAndHeals) {
   sim_.run_until(sim::SimTime::seconds(2.0));  // mid-window
   EXPECT_FALSE(network_.connected(0, 1));
   EXPECT_FALSE(network_.connected(1, 2));
-  EXPECT_TRUE(network_.link_between(0, 1) == std::nullopt);
+  EXPECT_TRUE(network_.link_between(0, 1) == nullptr);
   EXPECT_EQ(engine.active_count(), 1u);
   sim_.run();
   EXPECT_TRUE(network_.connected(0, 1));
@@ -155,11 +155,11 @@ TEST_F(ChaosEngineTest, CrashRestartFiresTransitionsAndDrainsBattery) {
       {make_fault(sim::FaultKind::kCrash, 1.0, 2.0, 1, 0.005)});
   sim_.run_until(sim::SimTime::seconds(2.0));
   EXPECT_FALSE(network_.alive(1));
-  const double consumed_mid = network_.node(1).energy.consumed();
+  const double consumed_mid = network_.energy(1).consumed();
   sim_.run();
   EXPECT_TRUE(network_.alive(1));
   // Reboot state loss drained the configured joules.
-  EXPECT_NEAR(network_.node(1).energy.consumed(), consumed_mid + 0.005, 1e-12);
+  EXPECT_NEAR(network_.energy(1).consumed(), consumed_mid + 0.005, 1e-12);
   ASSERT_EQ(transitions.size(), 2u);
   EXPECT_EQ(transitions[0], (std::pair<net::NodeId, bool>{1, false}));
   EXPECT_EQ(transitions[1], (std::pair<net::NodeId, bool>{1, true}));

@@ -82,8 +82,8 @@ TEST_F(NetFixture, WiredLinkConnectsDistantNodes) {
   EXPECT_FALSE(net.connected(a, b));
   net.add_wired_link(a, b);
   EXPECT_TRUE(net.connected(a, b));
-  auto link = net.link_between(a, b);
-  ASSERT_TRUE(link.has_value());
+  const LinkClass* link = net.link_between(a, b);
+  ASSERT_NE(link, nullptr);
   EXPECT_FALSE(link->wireless);
 }
 
@@ -106,9 +106,9 @@ TEST_F(NetFixture, TransmitDeliversAndChargesEnergy) {
   net.transmit(a, b, 100, [&](bool ok) { delivered = ok; });
   sim.run();
   EXPECT_TRUE(delivered);
-  EXPECT_GT(net.node(a).energy.consumed(), 0.0);
-  EXPECT_GT(net.node(b).energy.consumed(), 0.0);
-  EXPECT_GT(net.node(a).energy.consumed(), net.node(b).energy.consumed())
+  EXPECT_GT(net.energy(a).consumed(), 0.0);
+  EXPECT_GT(net.energy(b).consumed(), 0.0);
+  EXPECT_GT(net.energy(a).consumed(), net.energy(b).consumed())
       << "tx includes amplifier energy, rx does not";
   EXPECT_EQ(net.node(a).tx_bytes, 100u);
   EXPECT_EQ(net.node(b).rx_bytes, 100u);
@@ -320,7 +320,7 @@ TEST_F(NetFixture, RepeatedTransmitsKillBatteryNode) {
     net.transmit(a, b, 1000, [&](bool ok) { failures += ok ? 0 : 1; });
   }
   sim.run();
-  EXPECT_TRUE(net.node(a).energy.dead());
+  EXPECT_TRUE(net.energy(a).dead());
   EXPECT_GT(failures, 0);
   EXPECT_EQ(net.dead_node_count(), 1u);
 }

@@ -409,7 +409,7 @@ TEST_P(EpochProperty, OnAndOffModesAreOutcomeIdentical) {
       if (step == 8) {
         const NodeId victim = ids.front();
         net.drain_energy(victim,
-                         net.node(victim).energy.capacity() + 1.0);
+                         net.energy(victim).capacity() + 1.0);
         mutated();
       }
       query_batch();
@@ -531,7 +531,7 @@ TEST_P(EpochProperty, SeededMovesAndDeathsPatchExactlyTheBruteForceRows) {
                   at.y + script.uniform(-reach, reach), 0.0};
     scoped += expect_exact_epoch(net_, [&](std::vector<char>& rows) {
       if (kill) {
-        net_.drain_energy(victim, net_.node(victim).energy.capacity() + 1.0);
+        net_.drain_energy(victim, net_.energy(victim).capacity() + 1.0);
         mark_reach(net_, victim, wired_peers(victim), rows);
       } else {
         mark_reach(net_, mover, wired_peers(mover), rows);

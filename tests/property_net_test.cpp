@@ -114,7 +114,7 @@ TEST_P(NetProperty, EnergyLedgerBalances) {
   }
   sim_.run();
   double per_node = 0.0;
-  for (auto id : ids_) per_node += net_.node(id).energy.consumed();
+  for (auto id : ids_) per_node += net_.energy(id).consumed();
   EXPECT_NEAR(net_.stats().energy_j, per_node, 1e-12);
   EXPECT_NEAR(net_.battery_energy_consumed(), per_node, 1e-12);
 }
@@ -286,7 +286,7 @@ TEST_P(NetProperty, DstMajorSweepMatchesHeapDijkstraThroughHopTables) {
   // (liveness bump): every route to it must come back empty.
   const NodeId victim = hot[1];
   const std::uint64_t liveness = net_.liveness_version();
-  net_.drain_energy(victim, net_.node(victim).energy.capacity() + 1.0);
+  net_.drain_energy(victim, net_.energy(victim).capacity() + 1.0);
   ASSERT_GT(net_.liveness_version(), liveness);
   before = built();
   sweep(hot, "after death");

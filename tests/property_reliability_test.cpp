@@ -12,7 +12,8 @@
 // Budget semantics and window queueing ride along as unit properties, as
 // do the transfer pool's: steady-state acked hops allocate nothing, a
 // `done` that re-sends reuses the freed transfer, and teardown with
-// transfers in flight frees them all.
+// transfers in flight frees them all.  Best-effort send_route hops are
+// held to the same rule: a message allocates only its shared state.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -336,6 +337,47 @@ TEST(TransferPool, SteadyStateAckedHopsDoNotAllocate) {
   EXPECT_EQ(channel.stats().data_frames, 2u * kHops);
   EXPECT_EQ(channel.transfers_pooled(), pooled) << "the pool must not grow";
   EXPECT_EQ(channel.transfers_live(), 0u);
+}
+
+TEST(TransferPool, BestEffortRouteHopsDoNotAllocate) {
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(99));
+  // A lossless wired chain, 1 km between neighbours: every hop succeeds.
+  std::vector<NodeId> chain;
+  for (int i = 0; i < 12; ++i) {
+    chain.push_back(net.add_node(mesh_node(1000.0 * i, 0)));
+    if (i > 0) net.add_wired_link(chain[i - 1], chain[i]);
+  }
+  const std::vector<NodeId> one_hop(chain.begin(), chain.begin() + 2);
+
+  constexpr std::size_t kMessages = 100;
+  std::size_t delivered = 0;
+  auto burst = [&](const std::vector<NodeId>& route) {
+    for (std::size_t i = 0; i < kMessages; ++i) {
+      net.send_route(route, 64,
+                     [&delivered, hops = route.size() - 1](bool ok,
+                                                           std::size_t sent) {
+                       delivered += ok && sent == hops;
+                     });
+    }
+    sim.run();
+  };
+  auto counted_burst = [&](const std::vector<NodeId>& route) {
+    g_allocations = 0;
+    g_count_allocations = true;
+    burst(route);
+    g_count_allocations = false;
+    return g_allocations;
+  };
+  burst(chain);  // warm-up: event slab, ledger rows
+  const std::size_t short_allocations = counted_burst(one_hop);
+  const std::size_t long_allocations = counted_burst(chain);
+
+  EXPECT_EQ(delivered, 3 * kMessages);
+  EXPECT_EQ(long_allocations, short_allocations)
+      << "11-hop messages allocated more than 1-hop ones: a hop allocates";
+  EXPECT_LE(short_allocations, 2 * kMessages)
+      << "a message allocates more than its shared state and route copy";
 }
 
 TEST(TransferPool, DoneThatResendsReusesTheFreedTransfer) {

@@ -226,10 +226,10 @@ TEST_P(TopologyProperty, RouteCacheInvalidatesOnMovesChurnAndDeath) {
 
   // Battery-death invalidation: exhaust the destination without any
   // topology bump; the cache must not serve the stale route.
-  ASSERT_FALSE(net_.node(dst).energy.is_unlimited());
+  ASSERT_FALSE(net_.energy(dst).is_unlimited());
   const auto live_route = cached_shortest_path(net_, src, dst);
-  net_.drain_energy(dst, net_.node(dst).energy.capacity() + 1.0);
-  ASSERT_TRUE(net_.node(dst).energy.dead());
+  net_.drain_energy(dst, net_.energy(dst).capacity() + 1.0);
+  ASSERT_TRUE(net_.energy(dst).dead());
   EXPECT_TRUE(cached_shortest_path(net_, src, dst).empty())
       << "stale route served across a battery death (was "
       << live_route.size() << " hops)";
@@ -246,14 +246,14 @@ TEST_P(TopologyProperty, WiredPairIndexMatchesLinearScanSemantics) {
   net_.add_wired_link(grid_, ids_.front(), fast);
   net_.add_wired_link(ids_.front(), grid_, slow);  // duplicate, reversed
 
-  auto link = net_.link_between(grid_, ids_.front());
-  ASSERT_TRUE(link.has_value());
+  const LinkClass* link = net_.link_between(grid_, ids_.front());
+  ASSERT_NE(link, nullptr);
   EXPECT_EQ(link->bandwidth_bps, 200e6) << "first link added must win";
 
   EXPECT_TRUE(net_.connected(grid_, ids_.front()));
   net_.set_wired_link_up(ids_.front(), grid_, false);
   EXPECT_FALSE(net_.connected(grid_, ids_.front()));
-  EXPECT_FALSE(net_.link_between(grid_, ids_.front()).has_value());
+  EXPECT_EQ(net_.link_between(grid_, ids_.front()), nullptr);
   net_.set_wired_link_up(grid_, ids_.front(), true);
   EXPECT_TRUE(net_.connected(grid_, ids_.front()));
 

@@ -189,7 +189,7 @@ TEST_F(SensorNetFixture, DeploymentShape) {
   EXPECT_EQ(net_.size(), 50u);
   EXPECT_EQ(net_.node(snet_->base_station()).kind,
             net::NodeKind::kBaseStation);
-  EXPECT_TRUE(net_.node(snet_->base_station()).energy.is_unlimited());
+  EXPECT_TRUE(net_.energy(snet_->base_station()).is_unlimited());
   EXPECT_EQ(snet_->alive_sensors(), 49u);
 }
 
