@@ -1,12 +1,15 @@
 // EXP-K1 / EXP-K2 — event-kernel microbenchmarks.
 //
-// EXP-K1: slab heap + inline callbacks vs the legacy
-// std::priority_queue/std::function kernel, plus what-if trial throughput
-// on top of it.  EXP-K2: SPMD sharded lockstep (sim/shard.hpp) vs the same
-// workload interleaved in one global queue — the partitioning claim: a
-// multi-region world split into per-region queues keeps each heap and slab
-// compact and hot, so even a single core runs the same events faster, and
-// the shard fold {1, 2, 4} never changes a bit of the outcome.
+// EXP-K1: the time-bucketed slab kernel + inline callbacks vs the legacy
+// std::priority_queue/std::function kernel — tie-free hold and cancel
+// churn, plus a tie-heavy series (bursts of equal-time events, zero-delay
+// chains) whose fire order must match the legacy kernel's — and what-if
+// trial throughput on top of it.  EXP-K2: SPMD sharded lockstep
+// (sim/shard.hpp) vs the same workload interleaved in one global queue —
+// the partitioning claim: a multi-region world split into per-region
+// queues keeps each heap and slab compact and hot, so even a single core
+// runs the same events faster, and the shard fold {1, 2, 4} never changes
+// a bit of the outcome.
 //
 // The paper's proposed study (§4) prices every byte, joule and second
 // through this kernel, and the decision maker's training loop needs
@@ -123,6 +126,16 @@ struct DelayStream {
   }
 };
 
+/// splitmix64 finaliser: checksum mixing for the fire-order witnesses.
+std::uint64_t mix(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
 struct Paired {
   double legacy = 0.0;   // best-of-reps throughput
   double slab = 0.0;     // best-of-reps throughput
@@ -189,9 +202,75 @@ double hold_events_per_s(std::size_t depth, std::size_t fires) {
   return static_cast<double>(fires) / elapsed;
 }
 
+/// Tie-heavy hold: `depth` pending events in groups of `burst` that share
+/// one timestamp.  When a group's last member fires it schedules the
+/// group's next burst, all at one fresh time, so every timestamp carries
+/// `burst` events (plus the odd collision between groups).  With `chain`
+/// > 0 each member first runs `chain` zero-delay continuations — the shape
+/// of an acked hop beginning at now().  The checksum folds (time, group,
+/// member, step) in firing order, so any tie-order difference between two
+/// kernels changes it.
+template <typename Kernel>
+struct TieLoop {
+  Kernel sim;
+  DelayStream delays;
+  std::uint32_t burst = 1;
+  std::uint32_t chain = 0;
+  std::size_t fired = 0;
+  std::uint64_t checksum = 0;
+  std::vector<std::uint32_t> left;  // per group: members yet to finish
+
+  void arm(std::uint32_t group) {
+    const SimTime delay = delays.next();
+    left[group] = burst;
+    for (std::uint32_t member = 0; member < burst; ++member) {
+      sim.schedule(delay, [self = this, group, member] {
+        self->fire(group, member, 0);
+      });
+    }
+  }
+
+  void fire(std::uint32_t group, std::uint32_t member, std::uint32_t step) {
+    ++fired;
+    const std::uint64_t now = static_cast<std::uint64_t>(sim.now().us);
+    checksum = mix(checksum ^ (now << 32) ^ (std::uint64_t{group} << 16) ^
+                   (std::uint64_t{member} << 4) ^ step);
+    if (step < chain) {
+      sim.schedule(SimTime::zero(), [self = this, group, member, step] {
+        self->fire(group, member, step + 1);
+      });
+    } else if (--left[group] == 0) {
+      arm(group);
+    }
+  }
+};
+
+struct TieRun {
+  double events_per_s = 0.0;
+  std::uint64_t checksum = 0;
+};
+
+template <typename Kernel>
+TieRun tie_events_per_s(std::size_t depth, std::uint32_t burst,
+                        std::uint32_t chain, std::size_t fires) {
+  TieLoop<Kernel> loop;
+  loop.burst = burst;
+  loop.chain = chain;
+  const std::size_t groups = depth / burst;
+  loop.left.assign(groups, 0);
+  for (std::size_t g = 0; g < groups; ++g) {
+    loop.arm(static_cast<std::uint32_t>(g));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  while (loop.fired < fires) loop.sim.step();
+  const double elapsed = seconds_since(start);
+  return TieRun{static_cast<double>(loop.fired) / elapsed, loop.checksum};
+}
+
 /// Cancel+reschedule churn at a held depth: each round cancels every other
 /// live event by handle and schedules a replacement.  The slab kernel
-/// removes in O(log n); the legacy kernel buries tombstones it pays for at
+/// unlinks in O(1) and pops its bucket's key in O(log n) when the bucket
+/// empties; the legacy kernel buries tombstones it pays for at
 /// pop time.
 template <typename Kernel>
 double cancel_ops_per_s(std::size_t depth, std::size_t rounds) {
@@ -255,15 +334,6 @@ struct K2Workload {
   std::function<void(std::uint32_t, std::uint32_t, SimTime,
                      pgrid::sim::Simulator::Callback)>
       post_remote;
-
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-  }
 
   void fire_chain(std::uint32_t r, std::uint64_t stream, std::uint32_t step,
                   bool boundary) {
@@ -449,7 +519,9 @@ int main(int argc, char** argv) {
       "EXP-K1/K2: event-kernel throughput (slab heap, sharded lockstep)",
       "the slab-heap/inline-callback kernel sustains >=2x the legacy "
       "std::priority_queue/std::function kernel's schedule+fire throughput "
-      "at depth >= 1k; sharded lockstep runs a multi-region world >=1.5x "
+      "at depth >= 1k, and fires bursts of equal-time events in exactly "
+      "the legacy kernel's order; sharded lockstep runs a multi-region "
+      "world >=1.5x "
       "faster than one global queue with bit-identical outcomes across "
       "shard counts; batched what-if trials are never slower than serial");
 
@@ -487,6 +559,47 @@ int main(int argc, char** argv) {
   }
   experiment.series("schedule+fire hold throughput", hold);
   experiment.series("schedule+fire speedup", speedup);
+
+  // Tie-heavy series: the bucketed kernel's case.  Every row must fire in
+  // exactly the legacy kernel's (when, seq) order — checksums compared on
+  // every measured pair — or the binary exits non-zero.
+  const std::size_t tie_depth = 1024;
+  bool ties_match = true;
+  common::Table ties({"burst", "chain", "legacy_Mev_s", "slab_Mev_s",
+                      "speedup", "order_match"});
+  for (const std::uint32_t chain : {0u, 4u}) {
+    for (const std::uint32_t burst : {1u, 8u, 64u}) {
+      std::uint64_t legacy_sum = 0;
+      bool match = true;
+      const Paired p = paired_best(
+          reps,
+          [&] {
+            const TieRun run =
+                tie_events_per_s<LegacyKernel>(tie_depth, burst, chain, fires);
+            legacy_sum = run.checksum;
+            return run.events_per_s;
+          },
+          [&] {
+            const TieRun run = tie_events_per_s<sim::Simulator>(
+                tie_depth, burst, chain, fires);
+            match = match && run.checksum == legacy_sum;
+            return run.events_per_s;
+          });
+      ties_match = ties_match && match;
+      ties.add_row({common::Table::num(double(burst)),
+                    common::Table::num(double(chain)),
+                    common::Table::num(p.legacy / 1e6),
+                    common::Table::num(p.slab / 1e6),
+                    common::Table::num(p.speedup), match ? "yes" : "NO"});
+    }
+  }
+  experiment.series("tie-heavy schedule+fire", ties);
+  experiment.note(
+      "tie-heavy rows hold 1024 events in bursts of `burst` per timestamp; "
+      "`chain` zero-delay continuations precede each member's next burst; "
+      "order_match compares the fire-order checksum with the legacy "
+      "kernel's on every pair");
+  if (!ties_match) return 1;
 
   if (has_flag(argc, argv, "--hold-only")) return 0;  // kernel-tuning loop
 

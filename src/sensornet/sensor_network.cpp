@@ -106,6 +106,9 @@ struct SensorNetwork::RoundState {
   CollectCallback done;
   CollectionResult result;
   std::size_t outstanding = 0;
+  /// All-to-base rounds only: each in-flight sample (id, sampling-time
+  /// position, reading), so a completion captures an index, not the sample.
+  std::vector<RawReading> samples;
   double energy_before = 0.0;
   sim::SimTime started;
   bool finished = false;
@@ -162,24 +165,29 @@ void SensorNetwork::collect_all_to_base(const ScalarField& field,
   const auto& routing_tree = tree();
   const auto qualified = qualifying_samples(*this, field, filter);
   round->result.expected = qualified.size();
+  round->samples.reserve(qualified.size());
   for (const auto& [sensor, value] : qualified) {
-    const net::Vec3 pos = network_.node(sensor).pos;
-    const net::NodeId sensor_id = sensor;
-    const double reading = value;
-    auto complete = [this, round, sensor_id, pos, reading](bool ok) {
+    const std::size_t index = round->samples.size();
+    round->samples.push_back(
+        RawReading{sensor, network_.node(sensor).pos, value});
+    auto complete = [this, round, index](bool ok) {
       if (ok) {
-        round->result.aggregate.add(reading);
-        round->result.raw.push_back(RawReading{sensor_id, pos, reading});
+        const RawReading& sample = round->samples[index];
+        round->result.aggregate.add(sample.value);
+        round->result.raw.push_back(sample);
         ++round->result.reports;
       }
       --round->outstanding;
       finish_round(round);
     };
+    static_assert(
+        net::Network::DeliveryCallback::stores_inline<decltype(complete)>,
+        "an all-to-base completion must not allocate");
     // Best effort follows the sink tree (its BFS routes, not the unicast
     // Dijkstra path); a disconnected sensor fails and counts as missing.
     const auto route = routing_tree.route_to_sink(sensor);
     ++round->outstanding;
-    network_.deliver(sensor_id, base_, config_.sample_bytes, budget,
+    network_.deliver(sensor, base_, config_.sample_bytes, budget,
                      std::move(complete), &route);
   }
   if (round->outstanding == 0) {

@@ -23,10 +23,27 @@ bool Simulator::cancel(EventHandle handle) {
   EventRecord& record = record_at(slot);
   // A released slot bumps its generation, so handles for fired, cancelled,
   // or cleared events fail this check even after the slot is reused.
-  if (record.generation != generation || heap_index_[slot] == kNotInHeap) {
+  if (record.generation != generation || record.bucket == kNone) {
     return false;
   }
-  heap_remove(heap_index_[slot]);
+  const std::uint32_t bucket = record.bucket;
+  Bucket& fifo = buckets_[bucket];
+  if (record.prev == kNone) {
+    fifo.head = record.next;
+  } else {
+    record_at(record.prev).next = record.next;
+  }
+  if (record.next == kNone) {
+    fifo.tail = record.prev;
+  } else {
+    record_at(record.next).prev = record.prev;
+  }
+  if (fifo.head == kNone) {
+    heap_remove(fifo.heap_pos);
+    release_bucket(bucket);
+  }
+  record.bucket = kNone;
+  --count_;
   record.fn.reset();
   release_slot(slot);
   return true;
@@ -36,18 +53,18 @@ void Simulator::renumber_sequences() {
   // Order-preserving compaction of the 40-bit seq space: relative seq order
   // is untouched, so (when, seq) comparisons — and therefore every heap
   // position — are unchanged.
-  std::vector<std::uint32_t> order(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
+  std::vector<std::uint32_t> order(heap_size_);
+  for (std::size_t i = 0; i < heap_size_; ++i) {
     order[i] = static_cast<std::uint32_t>(physical_of(i));
   }
   std::sort(order.begin(), order.end(),
             [this](std::uint32_t a, std::uint32_t b) {
-              return entry_at(a).seq_slot < entry_at(b).seq_slot;
+              return entry_at(a).seq_bucket < entry_at(b).seq_bucket;
             });
   std::uint64_t next = 0;
   for (const std::uint32_t physical : order) {
     HeapEntry& entry = entry_at(physical);
-    entry.seq_slot = (next++ << 24) | (entry.seq_slot & kSlotMask);
+    entry.seq_bucket = (next++ << 24) | (entry.seq_bucket & kBucketMask);
   }
   next_seq_ = next;
 }
@@ -86,10 +103,10 @@ void Simulator::heap_remove(std::size_t physical) {
   const std::size_t last = last_physical();
   const HeapEntry moved = entry_at(last);
   entry_at(last) = kSentinel;
-  --count_;
+  --heap_size_;
   if (physical == last) return;  // removed the tail entry
   sift_up(physical, moved);
-  sift_down(heap_index_[moved.slot()], moved);
+  sift_down(buckets_[moved.bucket()].heap_pos, moved);
 }
 
 std::size_t Simulator::run() {
@@ -103,7 +120,7 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t processed = 0;
-  while (count_ > 0 && entry_at(0).when_us <= deadline.us) {
+  while (heap_size_ > 0 && entry_at(0).when_us <= deadline.us) {
     fire_top();
     ++processed;
   }
@@ -112,13 +129,24 @@ std::size_t Simulator::run_until(SimTime deadline) {
 }
 
 void Simulator::clear() {
-  for (std::size_t i = 0; i < count_; ++i) {
+  for (std::size_t i = 0; i < heap_size_; ++i) {
     HeapEntry& entry = entry_at(physical_of(i));
-    record_at(entry.slot()).fn.reset();
-    release_slot(entry.slot());
+    const std::uint32_t bucket = entry.bucket();
+    std::uint32_t slot = buckets_[bucket].head;
+    while (slot != kNone) {
+      EventRecord& record = record_at(slot);
+      const std::uint32_t next = record.next;
+      record.bucket = kNone;
+      record.fn.reset();
+      release_slot(slot);
+      slot = next;
+    }
+    free_buckets_.push_back(bucket);
     entry = kSentinel;
   }
+  heap_size_ = 0;
   count_ = 0;
+  memo_ = kNone;
 }
 
 }  // namespace pgrid::sim

@@ -144,7 +144,14 @@ class CostLedger {
   }
   void charge(Subsystem subsystem, TraceId trace, const Cost& cost) {
     totals_[subsystem] += cost;
-    by_trace_[trace][subsystem] += cost;
+    // Charges arrive in long runs under one trace (every transmission of a
+    // query's collection charges its trace), so the last-charged row is
+    // memoised; map nodes never move, and only reset() erases them.
+    if (last_row_ == nullptr || last_trace_ != trace) {
+      last_row_ = &by_trace_[trace];
+      last_trace_ = trace;
+    }
+    (*last_row_)[subsystem] += cost;
   }
 
   const TraceCosts& totals() const { return totals_; }
@@ -196,6 +203,7 @@ class CostLedger {
   void reset() {
     totals_ = TraceCosts{};
     by_trace_.clear();
+    last_row_ = nullptr;
   }
 
  private:
@@ -204,6 +212,8 @@ class CostLedger {
   sim::Simulator& sim_;
   TraceCosts totals_;
   std::map<TraceId, TraceCosts> by_trace_;  // ordered => deterministic export
+  TraceCosts* last_row_ = nullptr;  // by_trace_[last_trace_], or none
+  TraceId last_trace_ = 0;
   TraceId next_trace_ = 1;
   int open_spans_ = 0;
 };

@@ -13,7 +13,9 @@
 // do the transfer pool's: steady-state acked hops allocate nothing, a
 // `done` that re-sends reuses the freed transfer, and teardown with
 // transfers in flight frees them all.  Best-effort send_route hops are
-// held to the same rule: a message allocates only its shared state.
+// held to the same rule: a message allocates only its shared state, and an
+// all-to-base round's per-sample completions allocate nothing beyond the
+// deliveries themselves.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -30,6 +32,8 @@
 #include "core/runtime.hpp"
 #include "net/network.hpp"
 #include "net/reliable.hpp"
+#include "sensornet/field.hpp"
+#include "sensornet/sensor_network.hpp"
 #include "sim/chaos.hpp"
 #include "sim/invariants.hpp"
 #include "sim/simulator.hpp"
@@ -378,6 +382,78 @@ TEST(TransferPool, BestEffortRouteHopsDoNotAllocate) {
       << "11-hop messages allocated more than 1-hop ones: a hop allocates";
   EXPECT_LE(short_allocations, 2 * kMessages)
       << "a message allocates more than its shared state and route copy";
+}
+
+/// Allocations an all-to-base round makes beyond the same sensor-to-base
+/// deliveries issued bare (same routes, a capture-free completion), with
+/// and without the acked channel.  A per-sample completion that spilled
+/// DeliveryCallback's buffer would add one allocation per sample.
+struct AllToBaseCount {
+  std::size_t samples = 0;
+  std::size_t round = 0;
+  std::size_t bare = 0;
+};
+
+AllToBaseCount count_all_to_base(bool acked) {
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(99));
+  net::ReliableChannel channel(net, common::Rng(5));
+  if (acked) net.set_reliable_channel(&channel);
+  sensornet::SensorNetworkConfig config;
+  config.sensor_count = 64;  // 8x8 grid at 10 m: multi-hop, connected
+  config.width_m = 70.0;
+  config.height_m = 70.0;
+  sensornet::SensorNetwork snet(net, config, common::Rng(7));
+  const sensornet::UniformField field(21.0);
+
+  AllToBaseCount out;
+  std::size_t reports = 0;
+  auto round = [&] {
+    snet.collect_all_to_base(field, [&reports](sensornet::CollectionResult r) {
+      reports += r.reports;
+    });
+    sim.run();
+  };
+  std::size_t delivered = 0;
+  auto bare = [&] {
+    const net::SinkTree& tree = snet.tree();
+    for (const NodeId sensor : snet.sensors()) {
+      const auto route = tree.route_to_sink(sensor);
+      net.deliver(sensor, snet.base_station(), config.sample_bytes,
+                  Budget::unlimited(),
+                  [&delivered](bool ok) { delivered += ok; }, &route);
+    }
+    sim.run();
+  };
+  auto counted = [](const auto& body) {
+    g_allocations = 0;
+    g_count_allocations = true;
+    body();
+    g_count_allocations = false;
+    return g_allocations;
+  };
+  round();  // warm-up: event slab, buckets, ledger rows, pools
+  bare();
+  out.round = counted(round);
+  out.bare = counted(bare);
+  out.samples = snet.sensors().size();
+  EXPECT_GT(reports, 0u);
+  EXPECT_GT(delivered, 0u);
+  return out;
+}
+
+TEST(TransferPool, BestEffortAllToBaseSamplesDoNotAllocate) {
+  const AllToBaseCount count = count_all_to_base(false);
+  EXPECT_LT(count.round, count.bare + count.samples / 2)
+      << "round " << count.round << " vs bare " << count.bare << " for "
+      << count.samples << " samples: a sample's completion allocates";
+}
+
+TEST(TransferPool, AckedAllToBaseSamplesDoNotAllocate) {
+  const AllToBaseCount count = count_all_to_base(true);
+  EXPECT_LT(count.round, count.bare + count.samples / 2)
+      << "round " << count.round << " vs bare " << count.bare << " for "
+      << count.samples << " samples: a sample's completion allocates";
 }
 
 TEST(TransferPool, DoneThatResendsReusesTheFreedTransfer) {

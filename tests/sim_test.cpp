@@ -1,9 +1,14 @@
 // Unit tests for the discrete-event kernel: ordering, determinism,
-// cancellation, bounded runs.
+// cancellation, bounded runs, and a differential run against a reference
+// per-event queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <random>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -335,6 +340,298 @@ TEST(Simulator, StressOrderingWithInterleavedCancels) {
   for (std::size_t i = 1; i < fire_us.size(); ++i) {
     EXPECT_LE(fire_us[i - 1], fire_us[i]);
   }
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the time-bucketed kernel against the per-event order it
+// promises, kept as a reference: a std::priority_queue of (when, seq) with
+// lazily dropped cancellations.  Every kernel callback pops the reference's
+// head and checks it is the event now firing; pending() and next_time() are
+// compared inside every callback (before and after its nested actions) and
+// after every step or run_until.  Schedules are heavy in zero delays and
+// repeated timestamps, so buckets run long, several buckets share one
+// timestamp, and the newest bucket moves on and off the one now firing.
+
+struct RefEntry {
+  std::int64_t when = 0;
+  std::uint64_t seq = 0;
+  bool operator>(const RefEntry& other) const {
+    if (when != other.when) return when > other.when;
+    return seq > other.seq;
+  }
+};
+
+/// What the seeded runs exercised, summed over seeds; the test requires
+/// every counter to be non-zero so a quiet generator cannot pass vacuously.
+struct Coverage {
+  std::size_t fired = 0;
+  std::size_t zero_delay = 0;
+  std::size_t past_schedule_at = 0;
+  std::size_t cancel_head = 0;
+  std::size_t cancel_middle = 0;
+  std::size_t cancel_tail = 0;
+  std::size_t cancel_firing_time = 0;  // an event due at now(), mid-callback
+  std::size_t stale_cancel = 0;
+  std::size_t clear_mid_run = 0;
+  std::size_t run_until_at_bucket = 0;
+};
+
+class KernelOracle {
+ public:
+  KernelOracle(std::uint64_t seed, std::size_t budget, Coverage& coverage)
+      : rng_(seed), budget_(budget), cov_(coverage) {}
+  // Pending callbacks hold `this`.
+  KernelOracle(const KernelOracle&) = delete;
+  KernelOracle& operator=(const KernelOracle&) = delete;
+
+  Simulator sim;
+
+  void seed_events(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) schedule_random();
+  }
+
+  /// Drives the kernel to quiescence with a seeded mix of step() and
+  /// run_until() calls; returns false once a check has failed.
+  bool drive() {
+    while (sim.pending() > 0) {
+      const std::uint64_t mode = rng_() % 4;
+      if (mode < 2) {
+        EXPECT_TRUE(sim.step());
+      } else {
+        // run_until exactly at the head bucket's time, or one microsecond
+        // either side of it.
+        const std::int64_t head = sim.next_time().us;
+        const std::int64_t deadline =
+            mode == 2 ? head : head + static_cast<std::int64_t>(rng_() % 3) - 1;
+        if (deadline == head) ++cov_.run_until_at_bucket;
+        const SimTime before = sim.now();
+        sim.run_until(SimTime{deadline});
+        EXPECT_EQ(sim.now().us, std::max(before.us, deadline));
+        drop_dead_head();
+        if (live_ > 0) {
+          EXPECT_GT(ref_.top().when, deadline);
+        }
+      }
+      check_state();
+      if (::testing::Test::HasFailure()) return false;
+    }
+    EXPECT_EQ(live_, 0u);
+    return !::testing::Test::HasFailure();
+  }
+
+ private:
+  struct Event {
+    EventHandle handle;
+    std::int64_t when = 0;
+    bool pending = false;
+  };
+
+  /// Schedules one event; ids double as reference seqs (both count
+  /// schedules), so `events_` is in seq order.
+  void schedule_at_time(std::int64_t requested, bool absolute) {
+    const auto id = static_cast<std::uint32_t>(events_.size());
+    const std::int64_t when = std::max(requested, sim.now().us);
+    if (absolute && requested < sim.now().us) ++cov_.past_schedule_at;
+    if (when == sim.now().us) ++cov_.zero_delay;
+    auto fire = [this, id] { on_fire(id); };
+    const EventHandle handle =
+        absolute ? sim.schedule_at(SimTime{requested}, fire)
+                 : sim.schedule(SimTime{requested - sim.now().us}, fire);
+    events_.push_back(Event{handle, when, true});
+    ref_.push(RefEntry{when, id});
+    ++live_;
+  }
+
+  /// Delay mix: 35% zero, 35% a repeated small offset, 15% an absolute
+  /// time on a coarse grid (often in the past), 15% scattered.
+  void schedule_random() {
+    const std::int64_t now = sim.now().us;
+    const std::uint64_t pick = rng_() % 20;
+    if (pick < 7) {
+      schedule_at_time(now, false);
+    } else if (pick < 14) {
+      schedule_at_time(now + 100 * static_cast<std::int64_t>(1 + rng_() % 3),
+                       false);
+    } else if (pick < 17) {
+      const std::int64_t grid =
+          (now / 100 + static_cast<std::int64_t>(rng_() % 5) - 2) * 100;
+      schedule_at_time(grid, true);
+    } else {
+      schedule_at_time(now + static_cast<std::int64_t>(1 + rng_() % 5000),
+                       false);
+    }
+  }
+
+  void on_fire(std::uint32_t id) {
+    ++cov_.fired;
+    drop_dead_head();
+    ASSERT_GT(live_, 0u) << "kernel fired event " << id
+                         << " the reference holds no event for";
+    const RefEntry head = ref_.top();
+    ref_.pop();
+    --live_;
+    EXPECT_EQ(head.seq, id) << "fire order diverged at t=" << head.when;
+    EXPECT_EQ(sim.now().us, head.when);
+    events_[head.seq].pending = false;
+    events_[id].pending = false;
+    check_state();
+    act();
+    check_state();
+  }
+
+  /// Nested work from inside a callback: schedules (1.5 on average until
+  /// the budget is spent), cancels, and the occasional clear().
+  void act() {
+    static constexpr std::size_t kChildren[] = {0, 1, 1, 2, 2, 3};
+    std::size_t children = kChildren[rng_() % 6];
+    while (children-- > 0 && events_.size() < budget_) schedule_random();
+    if (rng_() % 4 == 0) cancel_random();
+    if (rng_() % 8 == 0 && events_.size() < budget_) schedule_random();
+    if (rng_() % 400 == 0) {
+      sim.clear();
+      for (Event& event : events_) event.pending = false;
+      ref_ = {};
+      live_ = 0;
+      ++cov_.clear_mid_run;
+      // Keep the run going after the clear.
+      if (events_.size() < budget_) schedule_random();
+    }
+  }
+
+  /// Cancels the head, a middle or the tail event among those pending at
+  /// one timestamp (now() half the time: the bucket firing, or a newer one
+  /// at the same time), or retries a dead handle.
+  void cancel_random() {
+    if (rng_() % 6 == 0 && !events_.empty()) {
+      const Event& event = events_[rng_() % events_.size()];
+      if (!event.pending) {
+        EXPECT_FALSE(sim.cancel(event.handle)) << "stale handle cancelled";
+        ++cov_.stale_cancel;
+        return;
+      }
+    }
+    if (live_ == 0) return;
+    std::int64_t when = sim.now().us;
+    if (rng_() % 2 == 0) {
+      // Some pending event's timestamp, found by probing from a random id.
+      const std::size_t start = rng_() % events_.size();
+      for (std::size_t i = 0; i < events_.size(); ++i) {
+        const Event& event = events_[(start + i) % events_.size()];
+        if (event.pending) {
+          when = event.when;
+          break;
+        }
+      }
+    }
+    std::vector<std::uint32_t> same_time;
+    for (std::uint32_t id = 0; id < events_.size(); ++id) {
+      if (events_[id].pending && events_[id].when == when) {
+        same_time.push_back(id);
+      }
+    }
+    if (same_time.empty()) return;
+    std::size_t pos = 0;
+    switch (rng_() % 3) {
+      case 0:
+        ++cov_.cancel_head;
+        break;
+      case 1:
+        if (same_time.size() < 3) return;
+        pos = same_time.size() / 2;
+        ++cov_.cancel_middle;
+        break;
+      default:
+        pos = same_time.size() - 1;
+        ++cov_.cancel_tail;
+        break;
+    }
+    if (when == sim.now().us) ++cov_.cancel_firing_time;
+    Event& victim = events_[same_time[pos]];
+    EXPECT_TRUE(sim.cancel(victim.handle)) << "pending event not cancellable";
+    victim.pending = false;
+    --live_;
+  }
+
+  void drop_dead_head() {
+    while (!ref_.empty() && !events_[ref_.top().seq].pending) ref_.pop();
+  }
+
+  void check_state() {
+    drop_dead_head();
+    EXPECT_EQ(sim.pending(), live_);
+    if (live_ > 0 && sim.pending() > 0) {
+      EXPECT_EQ(sim.next_time().us, ref_.top().when);
+    }
+  }
+
+  std::mt19937_64 rng_;
+  std::size_t budget_;
+  Coverage& cov_;
+  std::vector<Event> events_;
+  std::priority_queue<RefEntry, std::vector<RefEntry>, std::greater<>> ref_;
+  std::size_t live_ = 0;
+};
+
+TEST(SimulatorDifferential, MatchesReferenceOrderUnderTiesAndCancels) {
+  Coverage coverage;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    KernelOracle oracle(seed, 2000, coverage);
+    oracle.seed_events(48);
+    ASSERT_TRUE(oracle.drive()) << "seed " << seed;
+  }
+  EXPECT_GT(coverage.fired, 10000u);
+  EXPECT_GT(coverage.zero_delay, 0u);
+  EXPECT_GT(coverage.past_schedule_at, 0u);
+  EXPECT_GT(coverage.cancel_head, 0u);
+  EXPECT_GT(coverage.cancel_middle, 0u);
+  EXPECT_GT(coverage.cancel_tail, 0u);
+  EXPECT_GT(coverage.cancel_firing_time, 0u);
+  EXPECT_GT(coverage.stale_cancel, 0u);
+  EXPECT_GT(coverage.clear_mid_run, 0u);
+  EXPECT_GT(coverage.run_until_at_bucket, 0u);
+}
+
+// Two buckets at one timestamp.  With an earlier event at 0.5 ms heading
+// the queue, 1 ms opens a bucket, 2 ms a newer one, and the second 1 ms
+// schedule must open a third bucket rather than join the first (whose
+// events are not the newest).  Inside the first bucket's callback, a
+// schedule at 2 ms moves the memo away, so the zero-delay schedule after it
+// opens yet another bucket at 1 ms, behind both older ones.
+TEST(SimulatorDifferential, SameTimeBucketsKeepSchedulingOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const SimTime t1 = SimTime::milliseconds(1);
+  const SimTime t2 = SimTime::milliseconds(2);
+  sim.schedule_at(SimTime::microseconds(500), [&] { order.push_back(-1); });
+  sim.schedule_at(t1, [&] {
+    order.push_back(0);
+    sim.schedule_at(t2, [&] { order.push_back(5); });
+    sim.schedule(SimTime::zero(), [&] { order.push_back(3); });
+  });
+  sim.schedule_at(t1, [&] { order.push_back(1); });
+  sim.schedule_at(t2, [&] { order.push_back(4); });
+  sim.schedule_at(t1, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5}));
+}
+
+// The last event of a bucket releases it before its callback runs: a
+// zero-delay schedule from that callback must still fire, and next_time()
+// inside the callback must not report the released bucket.
+TEST(SimulatorDifferential, EmptiedBucketIsReleasedBeforeItsLastCallback) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(SimTime::milliseconds(1), [&] {
+    order.push_back(0);
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.next_time(), SimTime::milliseconds(5));
+    sim.schedule(SimTime::zero(), [&] { order.push_back(1); });
+    EXPECT_EQ(sim.next_time(), SimTime::milliseconds(1));
+  });
+  sim.schedule(SimTime::milliseconds(5), [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(sim.pending(), 0u);
 }
 

@@ -68,6 +68,45 @@ TEST(CostLedgerTest, ResetClearsCountersButNotTraceAllocation) {
   EXPECT_GT(ledger.new_trace(), before);
 }
 
+TEST(CostLedgerTest, RowsAfterResetMatchAFreshLedger) {
+  // charge() memoises the last-charged row; reset() frees every row, so a
+  // memo kept across it would charge a dead row.  The post-reset sequence
+  // therefore opens with the trace charged last before the reset.
+  sim::Simulator sim;
+  CostLedger ledger(sim);
+  CostLedger fresh(sim);
+  const auto a = ledger.new_trace();
+  const auto b = ledger.new_trace();
+  const auto c = ledger.new_trace();
+  auto charge_pattern = [&](CostLedger& target) {
+    const telemetry::TraceId order[] = {b, b, a, c, a, a, b, c, c, 0, b};
+    std::uint64_t bytes = 10;
+    for (const auto trace : order) {
+      target.charge(Subsystem::kWireless, trace, bytes_cost(bytes));
+      target.charge(Subsystem::kSensing, trace, bytes_cost(bytes + 1));
+      bytes += 7;
+    }
+  };
+  charge_pattern(ledger);
+  ledger.charge(Subsystem::kBackhaul, b, bytes_cost(999));
+  ledger.reset();
+  charge_pattern(ledger);
+  charge_pattern(fresh);
+
+  ASSERT_EQ(ledger.trace_ids(), fresh.trace_ids());
+  for (const auto trace : fresh.trace_ids()) {
+    for (std::size_t i = 0; i < telemetry::kSubsystemCount; ++i) {
+      const Cost got = ledger.trace(trace).by_subsystem[i];
+      const Cost want = fresh.trace(trace).by_subsystem[i];
+      EXPECT_EQ(got.bytes, want.bytes) << "trace " << trace << " row " << i;
+      EXPECT_EQ(got.count, want.count) << "trace " << trace << " row " << i;
+    }
+  }
+  EXPECT_EQ(ledger.totals()[Subsystem::kWireless].bytes,
+            fresh.totals()[Subsystem::kWireless].bytes);
+  EXPECT_TRUE(ledger.trace(b)[Subsystem::kBackhaul].empty());
+}
+
 TEST(CostLedgerTest, SpanStampsSimulatedTimeUnderOpeningTrace) {
   sim::Simulator sim;
   CostLedger ledger(sim);
