@@ -539,7 +539,6 @@ bool run_sharded_adoption_arm(pgrid::common::Table& table) {
   config.base.pde_resolution = 9;
   config.base.pool_threads = 1;
   config.base.sharing.enabled = true;  // adoption re-admits through sharing
-  config.base.sharding.shards = 1;
   config.base.sharding.window = sim::SimTime::milliseconds(5);
   config.regions = 2;
   config.region_spacing_m = 400.0;

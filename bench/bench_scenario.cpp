@@ -31,7 +31,6 @@
 //              unshared, and bit-identical fingerprints with the sharing
 //              layer enabled but untriggered (the kill-switch contract).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -246,7 +245,6 @@ CityResult run_city(std::size_t regions, std::size_t sensors_per_region) {
   core::ShardedDeploymentConfig cfg;
   cfg.base = bench::standard_config(sensors_per_region);
   cfg.base.flow.enabled = true;
-  cfg.base.sharding.shards = std::min<std::size_t>(4, regions);
   cfg.regions = regions;
   // Regions must not overlap in the air: footprint + both radio ranges.
   cfg.region_spacing_m =
@@ -258,9 +256,7 @@ CityResult run_city(std::size_t regions, std::size_t sensors_per_region) {
   out.regions = regions;
   out.sensors_total = regions * sensors_per_region;
   const std::string query = "SELECT AVG(temp) FROM sensors";
-  // Completions fire on the lane threads of whichever regions run them, so
-  // the tallies are atomic.
-  std::atomic<std::size_t> queries_ok{0};
+  std::size_t queries_ok = 0;
   auto accept = [&queries_ok](core::QueryOutcome outcome) {
     if (outcome.ok) ++queries_ok;
   };
@@ -278,7 +274,7 @@ CityResult run_city(std::size_t regions, std::size_t sensors_per_region) {
                        query, accept);
     ++out.queries;
   }
-  std::atomic<std::size_t> transfers_done{0};
+  std::size_t transfers_done = 0;
   for (std::size_t r = 0; r < regions; ++r) {
     city.transfer_remote(r, (r + 1) % regions, sim::SimTime::seconds(9.0),
                          1 << 20, [&transfers_done](bool ok) {
@@ -300,7 +296,7 @@ CityResult run_city(std::size_t regions, std::size_t sensors_per_region) {
     out.sim_elapsed_s = std::max(
         out.sim_elapsed_s, city.region(r).simulator().now().to_seconds());
   }
-  out.queries_ok = std::min(queries_ok.load(), out.queries);
+  out.queries_ok = std::min(queries_ok, out.queries);
   if (transfers_done != regions) out.queries_ok = 0;  // transfer gate folded in
   out.build_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   out.run_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();

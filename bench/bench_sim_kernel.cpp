@@ -7,9 +7,8 @@
 // trial throughput on top of it.  EXP-K2: SPMD sharded lockstep
 // (sim/shard.hpp) vs the same workload interleaved in one global queue —
 // the partitioning claim: a multi-region world split into per-region
-// queues keeps each heap and slab compact and hot, so even a single core
-// runs the same events faster, and the shard fold {1, 2, 4} never changes
-// a bit of the outcome.
+// queues keeps each heap and slab compact and hot, so one core runs the
+// same events faster without changing a bit of the outcome.
 //
 // The paper's proposed study (§4) prices every byte, joule and second
 // through this kernel, and the decision maker's training loop needs
@@ -18,8 +17,7 @@
 // cancel+reschedule churn, and end-to-end what_if_all wall-clock — all in
 // real (wall) time, since the subject is the machine, not the model.
 //
-// Modes: --json (machine output), --quick (CI smoke: ~10x fewer events),
-// --shards a,b,c (EXP-K2 lane sweep, default 1,2,4).
+// Modes: --json (machine output), --quick (CI smoke: ~10x fewer events).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -27,7 +25,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -299,15 +296,15 @@ double cancel_ops_per_s(std::size_t depth, std::size_t rounds) {
 // ---------------------------------------------------------------------------
 // EXP-K2 — sharded lockstep vs the global single queue.
 //
-// The workload is a fixed 4-region world: every region holds a set of
-// self-rescheduling event chains (the EXP-K1 shape), and every fifth chain
-// step posts an echo into the next region timestamped one backhaul latency
-// ahead.  The *same* world runs two ways: interleaved in one global
-// simulator (one deep heap), or partitioned into per-region simulators
-// advanced by LockstepWorld (four shallow heaps + mailbox barriers).
-// Per-region commutative checksums over (fire time, kind) are the
-// bit-identity witnesses: they must match across the global baseline and
-// every shard count, or the binary exits non-zero.
+// The workload is a 32-region world: every region holds a set of
+// self-rescheduling event chains (the EXP-K1 shape), and every fifth step
+// of a boundary chain posts an echo into the next region timestamped one
+// backhaul latency ahead.  The *same* world runs two ways: interleaved in
+// one global simulator (one deep heap), or partitioned into per-region
+// simulators advanced by LockstepWorld (32 shallow heaps + mailbox
+// barriers).  Per-region commutative checksums over (fire time, kind) are
+// the bit-identity witnesses: they must match the global baseline, or the
+// binary exits non-zero.
 
 struct K2Result {
   double wall_ms = 0.0;
@@ -323,8 +320,7 @@ struct K2Workload {
   std::size_t steps = 0;
   std::int64_t echo_latency_us = 4000;
 
-  // Per-region counters: each shard lane touches only its own regions'
-  // slots, so pooled lanes stay race-free.
+  // Per-region counters.
   std::vector<std::uint64_t> fired;
   std::vector<std::uint64_t> checksum;
 
@@ -416,8 +412,7 @@ K2Result run_k2_global(std::size_t regions, std::size_t chains,
 }
 
 K2Result run_k2_lockstep(std::size_t regions, std::size_t chains,
-                         std::size_t steps, std::size_t shards,
-                         pgrid::common::ThreadPool* pool) {
+                         std::size_t steps) {
   std::vector<std::unique_ptr<pgrid::sim::Simulator>> sims;
   std::vector<pgrid::sim::Simulator*> ptrs;
   for (std::size_t r = 0; r < regions; ++r) {
@@ -425,7 +420,6 @@ K2Result run_k2_lockstep(std::size_t regions, std::size_t chains,
     ptrs.push_back(sims.back().get());
   }
   pgrid::sim::ShardingConfig cfg;
-  cfg.shards = shards;
   cfg.window = SimTime::microseconds(4000);  // <= echo latency: no violations
   pgrid::sim::LockstepWorld world(cfg, std::move(ptrs));
   K2Workload w;
@@ -443,7 +437,7 @@ K2Result run_k2_lockstep(std::size_t regions, std::size_t chains,
   };
   w.arm_all();
   const auto start = std::chrono::steady_clock::now();
-  const auto stats = world.run(pool);
+  const auto stats = world.run();
   K2Result result;
   result.wall_ms = seconds_since(start) * 1e3;
   result.messages = stats.messages;
@@ -486,30 +480,6 @@ bool has_flag(int argc, char** argv, const std::string& flag) {
   return false;
 }
 
-/// `--shards a,b,c` selects the EXP-K2 lane sweep; defaults to {1, 2, 4}.
-std::vector<std::size_t> parse_shards(int argc, char** argv) {
-  std::vector<std::size_t> shards;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) != "--shards") continue;
-    const std::string list = argv[i + 1];
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string token =
-          list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      if (!token.empty()) {
-        const auto value = static_cast<std::size_t>(std::stoul(token));
-        if (value > 0) shards.push_back(value);
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    break;
-  }
-  if (shards.empty()) shards = {1, 2, 4};
-  return shards;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -522,8 +492,8 @@ int main(int argc, char** argv) {
       "at depth >= 1k, and fires bursts of equal-time events in exactly "
       "the legacy kernel's order; sharded lockstep runs a multi-region "
       "world >=1.5x "
-      "faster than one global queue with bit-identical outcomes across "
-      "shard counts; batched what-if trials are never slower than serial");
+      "faster than one global queue with bit-identical outcomes; batched "
+      "what-if trials are never slower than serial");
 
   const bool quick = has_flag(argc, argv, "--quick");
   const std::size_t fires = quick ? 20000 : 200000;
@@ -652,9 +622,8 @@ int main(int argc, char** argv) {
       "instead of spawning their own threads");
 
   // EXP-K2: the same multi-region workload through one global queue vs the
-  // sharded lockstep world at each lane count.  Speedup is partitioning
-  // (four compact heaps vs one deep one), so it holds on a single core;
-  // lanes only run in parallel when the host actually has cores for them.
+  // serial lockstep world.  Speedup is partitioning (32 compact heaps vs
+  // one deep one), on a single core.
   // Sized against the cache hierarchy: a held event costs ~100 B of live
   // working set (16 B heap node + 4 B index + its 80 B slab record, cold
   // again by fire time because a full queue depth of events passes between
@@ -665,60 +634,36 @@ int main(int argc, char** argv) {
   const std::size_t k2_chains = 8192;
   const std::size_t k2_steps = quick ? 4 : 8;
   const std::size_t k2_reps = quick ? 2 : 5;
-  const auto lane_sweep = parse_shards(argc, argv);
-  const bool host_parallel = std::thread::hardware_concurrency() > 1;
 
   K2Result global;
+  K2Result lockstep;
   for (std::size_t rep = 0; rep < k2_reps; ++rep) {
     K2Result run = run_k2_global(k2_regions, k2_chains, k2_steps);
-    if (rep == 0 || run.wall_ms < global.wall_ms) {
-      global = std::move(run);
-    }
+    if (rep == 0 || run.wall_ms < global.wall_ms) global = std::move(run);
+    run = run_k2_lockstep(k2_regions, k2_chains, k2_steps);
+    if (rep == 0 || run.wall_ms < lockstep.wall_ms) lockstep = std::move(run);
   }
 
-  bool k2_identical = true;
-  bool k2_clean = true;
-  common::Table k2({"config", "lanes", "regions", "events", "messages",
-                    "wall_ms", "Mev_s", "speedup_vs_global",
-                    "bit_identical"});
-  k2.add_row({"global", common::Table::num(1.0),
-              common::Table::num(double(k2_regions)),
-              common::Table::num(double(global.events)),
-              common::Table::num(0.0), common::Table::num(global.wall_ms),
-              common::Table::num(double(global.events) /
-                                 (global.wall_ms * 1e3)),
-              common::Table::num(1.0), "yes"});
-  for (const std::size_t lanes : lane_sweep) {
-    std::unique_ptr<common::ThreadPool> lane_pool;
-    if (host_parallel && lanes > 1) {
-      lane_pool = std::make_unique<common::ThreadPool>(lanes);
-    }
-    K2Result best;
-    for (std::size_t rep = 0; rep < k2_reps; ++rep) {
-      K2Result run = run_k2_lockstep(k2_regions, k2_chains, k2_steps, lanes,
-                                     lane_pool.get());
-      if (rep == 0 || run.wall_ms < best.wall_ms) {
-        best = std::move(run);
-      }
-    }
-    const bool identical =
-        best.checksums == global.checksums && best.events == global.events;
-    k2_identical = k2_identical && identical;
-    k2_clean = k2_clean && best.violations == 0;
-    k2.add_row({"lockstep", common::Table::num(double(lanes)),
-                common::Table::num(double(k2_regions)),
-                common::Table::num(double(best.events)),
-                common::Table::num(double(best.messages)),
-                common::Table::num(best.wall_ms),
-                common::Table::num(double(best.events) /
-                                   (best.wall_ms * 1e3)),
-                common::Table::num(global.wall_ms / best.wall_ms),
-                identical ? "yes" : "NO"});
+  const bool k2_identical = lockstep.checksums == global.checksums &&
+                            lockstep.events == global.events;
+  const bool k2_clean = lockstep.violations == 0;
+  common::Table k2({"config", "regions", "events", "messages", "wall_ms",
+                    "Mev_s", "speedup_vs_global", "bit_identical"});
+  for (const auto& [name, run] :
+       {std::pair<const char*, const K2Result*>{"global", &global},
+        std::pair<const char*, const K2Result*>{"lockstep", &lockstep}}) {
+    k2.add_row({name, common::Table::num(double(k2_regions)),
+                common::Table::num(double(run->events)),
+                common::Table::num(double(run->messages)),
+                common::Table::num(run->wall_ms),
+                common::Table::num(double(run->events) / (run->wall_ms * 1e3)),
+                common::Table::num(global.wall_ms / run->wall_ms),
+                run == &global || k2_identical ? "yes" : "NO"});
   }
   experiment.series("EXP-K2 sharded lockstep", k2);
   experiment.note(
       "lockstep window equals the 4 ms cross-region echo latency (the "
-      "conservative bound), so the sweep must report zero lookahead "
+      "conservative bound), so the lockstep run must report zero lookahead "
       "violations");
 
   const bool whatif_ok = serial.checksum == parallel.checksum;

@@ -24,18 +24,18 @@ for preset in default asan-ubsan; do
   ctest --preset "${preset}" -j "${JOBS}" -LE heavy
 done
 
-echo "=== tsan: lockstep sharding + thread pool under the race detector ==="
-# The sharded lockstep layer is the one place worker threads touch
-# simulators concurrently (one lane per shard, mailbox exchange at window
-# barriers), so its property suite plus the thread-pool/runtime suites run
-# under ThreadSanitizer.  Gated on libtsan actually linking, so the stage
+echo "=== tsan: compute pool under the race detector ==="
+# Lockstep regions run serially on the calling thread; the only worker
+# threads left are the compute pool's (what-if trials on deployment clones,
+# chunked PDE solves), so the thread-pool and what-if suites run under
+# ThreadSanitizer.  Gated on libtsan actually linking, so the stage
 # degrades to a notice on images without it.
 if echo 'int main(){return 0;}' | c++ -fsanitize=thread -x c++ - -o /tmp/pgrid_tsan_probe 2>/dev/null; then
   rm -f /tmp/pgrid_tsan_probe
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" \
-    --target test_common test_property_shard test_whatif
-  for tsan_bin in test_common test_property_shard test_whatif; do
+    --target test_common test_whatif
+  for tsan_bin in test_common test_whatif; do
     TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
       "out/tsan/tests/${tsan_bin}"
   done

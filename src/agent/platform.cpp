@@ -34,11 +34,6 @@ Agent* AgentPlatform::find_by_name(const std::string& name) {
   return nullptr;
 }
 
-AgentDeputy* AgentPlatform::deputy_of(AgentId id) {
-  auto it = agents_.find(id);
-  return it == agents_.end() ? nullptr : it->second.deputy.get();
-}
-
 std::vector<AgentId> AgentPlatform::agents_with_role(AgentRole role) const {
   std::vector<AgentId> out;
   for (const auto& [id, reg] : agents_) {

@@ -46,9 +46,7 @@ class AgentPlatform {
 
   Agent* find(AgentId id);
   Agent* find_by_name(const std::string& name);
-  AgentDeputy* deputy_of(AgentId id);
   std::vector<AgentId> agents_with_role(AgentRole role) const;
-  std::size_t agent_count() const { return agents_.size(); }
 
   /// Fire-and-forget send through the receiver's deputy.
   void send(Envelope envelope, SendCallback on_result = nullptr);

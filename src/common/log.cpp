@@ -21,9 +21,9 @@ LogLevel level_from_env() {
 }
 
 std::atomic<LogLevel> g_level{level_from_env()};
-/// Per thread: each simulator (a city-flow lane, a what-if clone) runs on
-/// its own thread and keeps its own trace in sync here, so neither the
-/// writes contend nor a line carries another thread's trace.
+/// Per thread: a simulator that runs on a pool thread (a what-if clone)
+/// keeps its own trace in sync here, so neither the writes contend nor a
+/// line carries another thread's trace.
 thread_local std::uint64_t t_trace = 0;
 
 const char* tag(LogLevel level) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace pgrid::common {
 
@@ -71,19 +70,6 @@ void Histogram::add(double x) {
 double Histogram::edge(std::size_t bucket) const {
   return lo_ + (hi_ - lo_) * static_cast<double>(bucket) /
                    static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t max_width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out << edge(i) << "\t";
-    const auto width = counts_[i] * max_width / peak;
-    for (std::size_t j = 0; j < width; ++j) out << '#';
-    out << " (" << counts_[i] << ")\n";
-  }
-  return out.str();
 }
 
 }  // namespace pgrid::common

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace pgrid::common {
@@ -57,13 +56,10 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
   std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
   std::size_t total() const { return total_; }
   /// Lower edge of a bucket.
   double edge(std::size_t bucket) const;
-  /// Render as a one-line-per-bucket ASCII bar chart.
-  std::string ascii(std::size_t max_width = 40) const;
 
  private:
   double lo_;

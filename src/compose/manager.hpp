@@ -102,12 +102,8 @@ class CompositionManager {
   void precompute(const TaskGraph& graph,
                   std::function<void(std::size_t resolved)> done);
 
-  /// Drops the proactive binding cache.
-  void invalidate_cache() { cache_.clear(); }
   std::size_t cached_bindings() const { return cache_.size(); }
 
-  /// Drops resolved dedup entries (in-flight coalescing is untouched).
-  void invalidate_dedup() { dedup_cache_.clear(); }
   std::size_t dedup_cached() const { return dedup_cache_.size(); }
   /// Coalesced lookups currently awaiting a broker reply — must be zero at
   /// drain (the load test's plan-cache leak check).

@@ -79,10 +79,8 @@ struct RuntimeConfig {
   /// bit-identical to serial evaluation, in candidate order.
   std::size_t what_if_parallelism = 0;
   /// SPMD world sharding (core/sharded.hpp).  A plain PervasiveGridRuntime
-  /// ignores this block entirely — it configures how a ShardedDeployment
-  /// built from this config partitions its regions across lockstep lanes.
-  /// The default (1 shard) is the kill switch: every region runs on one
-  /// lane, and results are bit-identical at any shard count by design.
+  /// ignores this block entirely — it sets the lockstep window of a
+  /// ShardedDeployment built from this config.
   sim::ShardingConfig sharding;
   /// Reliability layer (PR 5); disabled by default.
   ReliabilityConfig reliability;

@@ -77,7 +77,6 @@ ShardedDeployment::ShardedDeployment(ShardedDeploymentConfig config)
   held_.resize(config_.regions);
   handoff_returns_.resize(config_.regions);
   next_handoff_key_.assign(config_.regions, 1);
-  fstats_.resize(config_.regions);
 }
 
 ShardedDeployment::~ShardedDeployment() {
@@ -85,16 +84,6 @@ ShardedDeployment::~ShardedDeployment() {
   chaos_.clear();
   world_.reset();
   regions_.clear();
-}
-
-common::ThreadPool* ShardedDeployment::lane_pool() {
-  const sim::ShardingConfig& sharding = config_.base.sharding;
-  if (sharding.shards <= 1) return nullptr;
-  if (!lane_pool_) {
-    lane_pool_ = std::make_unique<common::ThreadPool>(
-        std::min(sharding.shards, regions_.size()));
-  }
-  return lane_pool_.get();
 }
 
 void ShardedDeployment::submit(std::size_t r, sim::SimTime at,
@@ -228,7 +217,7 @@ void ShardedDeployment::on_station_lost(std::size_t r) {
   PervasiveGridRuntime& home = region(r);
   FailoverManager* manager = home.failover();
   if (manager == nullptr || manager->station_down()) return;
-  ++fstats_[r].station_outages;
+  ++fstats_.station_outages;
   // The crash first: station RAM dies, the generation fence bumps, and the
   // last checkpoint becomes the only surviving record of the region's load.
   manager->on_station_down();
@@ -249,7 +238,7 @@ void ShardedDeployment::on_station_lost(std::size_t r) {
   // the next region on the world grid (deterministic pick) like any bulk
   // transfer — counted at the sender, wire time added to the arrival.
   const std::size_t adopter = (r + 1) % regions_.size();
-  ++fstats_[r].checkpoints_shipped;
+  ++fstats_.checkpoints_shipped;
   home.network().record_cross_region_flow(image.size());
   const sim::SimTime arrive = home.simulator().now() +
                               config_.backhaul_latency +
@@ -315,7 +304,7 @@ void ShardedDeployment::adopt_checkpoint(std::size_t home_r,
     const std::uint64_t local =
         adopter->adopt(std::move(snap), std::move(finalize));
     held_[adopter_r].push_back({home_r, home_qid, local});
-    ++fstats_[adopter_r].queries_adopted;
+    ++fstats_.queries_adopted;
   }
 }
 
@@ -324,8 +313,8 @@ void ShardedDeployment::on_station_restored(std::size_t r) {
   if (manager == nullptr || !manager->station_down()) return;
   manager->on_station_up();
   if (regions_.size() < 2) return;
-  // Migrate back: every peer is asked (in its own lane) to return whatever
-  // it still holds for this region.  Peers holding nothing no-op.
+  // Migrate back: every peer is asked (in its own timeline) to return
+  // whatever it still holds for this region.  Peers holding nothing no-op.
   const sim::SimTime ask = region(r).simulator().now() +
                            config_.backhaul_latency;
   for (std::size_t a = 0; a < regions_.size(); ++a) {
@@ -355,7 +344,7 @@ void ShardedDeployment::return_adoptions(std::size_t adopter_r,
     // wire home) — nothing left to migrate.
     if (!extracted.ok()) continue;
     QueryCheckpoint snap = std::move(extracted).take().snap;
-    ++fstats_[adopter_r].migrations_back;
+    ++fstats_.migrations_back;
     region(adopter_r).network().record_cross_region_flow(snapshot_bytes(snap));
     const sim::SimTime arrive =
         region(adopter_r).simulator().now() + config_.backhaul_latency +
@@ -382,11 +371,11 @@ void ShardedDeployment::handoff_query(std::size_t from, std::size_t to,
         if (!extracted.ok()) return;  // finished (or already moved on)
         auto moved = std::move(extracted).take();
         // The open conversation stays home: the submitter's callback lives
-        // in `from`'s platform and must run in `from`'s lane.  Park it
+        // in `from`'s platform and must run in `from`'s timeline.  Park it
         // under a key; the re-homed query's completion posts back here.
         const std::uint64_t key = next_handoff_key_[from]++;
         handoff_returns_[from][key] = std::move(moved.finalize);
-        ++fstats_[from].handoffs;
+        ++fstats_.handoffs;
         region(from).network().record_cross_region_flow(
             snapshot_bytes(moved.snap));
         const sim::SimTime arrive =
@@ -419,38 +408,9 @@ void ShardedDeployment::handoff_query(std::size_t from, std::size_t to,
                     });
               };
               dst->adopt(snap, std::move(finalize));
-              ++fstats_[to].queries_adopted;
+              ++fstats_.queries_adopted;
             });
       });
-}
-
-ShardedFailoverStats ShardedDeployment::failover_stats() const {
-  ShardedFailoverStats total;
-  for (const ShardedFailoverStats& s : fstats_) {
-    total.station_outages += s.station_outages;
-    total.checkpoints_shipped += s.checkpoints_shipped;
-    total.queries_adopted += s.queries_adopted;
-    total.migrations_back += s.migrations_back;
-    total.handoffs += s.handoffs;
-  }
-  return total;
-}
-
-sim::LockstepStats ShardedDeployment::run() {
-  return world_->run(lane_pool());
-}
-
-sim::LockstepStats ShardedDeployment::run_until(sim::SimTime deadline) {
-  return world_->run_until(deadline, lane_pool());
-}
-
-double ShardedDeployment::total_ledger_joules() const {
-  double joules = 0.0;
-  for (const auto& rt : regions_) {
-    const PervasiveGridRuntime& region = *rt;
-    joules += region.telemetry().total().joules;
-  }
-  return joules;
 }
 
 }  // namespace pgrid::core

@@ -3,17 +3,17 @@
 // One PervasiveGridRuntime per base-station region — each with its own
 // Simulator (own slab + heap), Network, CostLedger and agent platform —
 // placed on a world grid via SensorNetworkConfig::origin and advanced in
-// deterministic lockstep windows by sim::LockstepWorld.  Cross-region
-// effects (wired-backhaul query forwarding, chaos faults aimed at a remote
-// region) ride the lockstep mailbox and land at window barriers in
-// canonical order, so per-region outcomes (QueryOutcome, NetworkStats,
-// ledger joules, chaos schedules) are bit-identical across shard counts
-// {1, 2, 4, ...} and across serial vs pooled lane execution.
+// deterministic lockstep windows by sim::LockstepWorld, region after region
+// on the calling thread.  Cross-region effects (wired-backhaul query
+// forwarding, chaos faults aimed at a remote region) ride the lockstep
+// mailbox and land at window barriers in canonical order, so per-region
+// outcomes (QueryOutcome, NetworkStats, ledger joules, chaos schedules) are
+// bit-identical run to run.
 //
-// Kill switch: RuntimeConfig::sharding defaults to 1 shard, and a
-// single-region deployment built from a config is byte-identical to a
-// plain PervasiveGridRuntime built from the same config — region 0 keeps
-// the config's seed and a zero origin, and nothing else differs.
+// Kill switch: a single-region deployment built from a config is
+// byte-identical to a plain PervasiveGridRuntime built from the same
+// config — region 0 keeps the config's seed and a zero origin, and nothing
+// else differs.
 #pragma once
 
 #include <cassert>
@@ -35,8 +35,8 @@ namespace pgrid::core {
 struct ShardedDeploymentConfig {
   /// Template for every region.  `seed` seeds region 0 as-is; region r > 0
   /// derives seed ^ (r * golden-ratio mix), so region 0's solo trajectory
-  /// matches a standalone runtime bit for bit.  `sharding` picks the lane
-  /// count / window / parallel knobs.
+  /// matches a standalone runtime bit for bit.  `sharding.window` sets the
+  /// lockstep window.
   RuntimeConfig base;
   std::size_t regions = 1;
   /// World-grid pitch between region origins (ceil(sqrt(R)) columns).
@@ -49,9 +49,7 @@ struct ShardedDeploymentConfig {
   sim::SimTime backhaul_latency = sim::SimTime::milliseconds(10);
 };
 
-/// Cross-region failover counters.  Internally kept per lane (each lane
-/// only mutates its own slot, so parallel lane execution stays race-free)
-/// and summed on read.
+/// Cross-region failover counters.
 struct ShardedFailoverStats {
   std::uint64_t station_outages = 0;    ///< base-station crashes observed
   std::uint64_t checkpoints_shipped = 0;///< images sent to an adopter
@@ -115,7 +113,7 @@ class ShardedDeployment {
 
   /// Arms a seeded chaos schedule over region `r`'s network (engine seed =
   /// the region's derived seed, so schedules are a pure function of
-  /// (config, region) and identical at every shard count).
+  /// (config, region) and identical run to run).
   const sim::Schedule& arm_chaos(std::size_t r, const sim::ChaosConfig& cfg);
   sim::ChaosEngine* chaos(std::size_t r) { return chaos_.at(r).get(); }
 
@@ -143,36 +141,33 @@ class ShardedDeployment {
   void handoff_query(std::size_t from, std::size_t to, sim::SimTime at,
                      std::uint64_t qid);
 
-  /// Summed cross-region failover counters (read after run()).
-  ShardedFailoverStats failover_stats() const;
+  /// Cross-region failover counters (read after run()).
+  const ShardedFailoverStats& failover_stats() const { return fstats_; }
 
   /// Runs lockstep windows until every region drains (run) or reaches
-  /// `deadline` (run_until).  Lanes run on an internal pool when
-  /// shards > 1; results are bit-identical to a single lane.
-  sim::LockstepStats run();
-  sim::LockstepStats run_until(sim::SimTime deadline);
+  /// `deadline` (run_until).
+  sim::LockstepStats run() { return world_->run(); }
+  sim::LockstepStats run_until(sim::SimTime deadline) {
+    return world_->run_until(deadline);
+  }
 
   std::uint64_t order_digest() const { return world_->order_digest(); }
 
-  /// Sum of ledger joules across regions (a cheap cross-region witness).
-  double total_ledger_joules() const;
-
  private:
-  common::ThreadPool* lane_pool();
   sim::ChaosEngine& ensure_chaos(std::size_t r);
 
-  // Station lifecycle handlers; each runs in the named region's lane.
+  // Station lifecycle handlers; each runs in the named region's timeline.
   void on_station_lost(std::size_t r);
   void on_station_restored(std::size_t r);
-  /// Runs in `adopter`'s lane: parses `home`'s shipped checkpoint image and
-  /// adopts every unfinished query.
+  /// Runs in `adopter`'s timeline: parses `home`'s shipped checkpoint image
+  /// and adopts every unfinished query.
   void adopt_checkpoint(std::size_t home, std::size_t adopter,
                         const std::string& image);
-  /// Runs in `adopter`'s lane: extracts every adoption held for `home` and
-  /// posts the snapshots back for resume_migrated.
+  /// Runs in `adopter`'s timeline: extracts every adoption held for `home`
+  /// and posts the snapshots back for resume_migrated.
   void return_adoptions(std::size_t adopter, std::size_t home);
 
-  /// One adoption held at a peer, tracked in the adopter's lane only.
+  /// One adoption held at a peer, tracked per adopter.
   struct HeldAdoption {
     std::size_t home = 0;
     std::uint64_t home_qid = 0;
@@ -184,14 +179,12 @@ class ShardedDeployment {
   std::vector<std::unique_ptr<net::ShardMap>> maps_;
   std::vector<std::unique_ptr<sim::ChaosEngine>> chaos_;
   std::unique_ptr<sim::LockstepWorld> world_;
-  std::unique_ptr<common::ThreadPool> lane_pool_;
-  // Per-lane failover state: index a = only ever touched from lane a's
-  // execution, so parallel lanes never contend.
+  // Per-region failover state, indexed by the region that touches it.
   std::vector<std::vector<HeldAdoption>> held_;
   std::vector<std::map<std::uint64_t, FailoverManager::Finalize>>
       handoff_returns_;
   std::vector<std::uint64_t> next_handoff_key_;
-  std::vector<ShardedFailoverStats> fstats_;
+  ShardedFailoverStats fstats_;
 };
 
 }  // namespace pgrid::core

@@ -53,7 +53,6 @@ void BrokerAgent::on_envelope(const Envelope& envelope) {
 }
 
 void BrokerAgent::handle_query(const Envelope& envelope, bool forwarded) {
-  ++queries_served_;
   auto request = parse_request(envelope.payload);
   if (!request) {
     platform()->send(make_reply(envelope, Performative::kFailure, "bad request"));

@@ -49,7 +49,6 @@ class BrokerAgent final : public agent::Agent {
   const ServiceRegistry& registry() const { return registry_; }
   const Matcher& matcher() const { return *matcher_; }
 
-  std::size_t queries_served() const { return queries_served_; }
   std::size_t queries_forwarded() const { return queries_forwarded_; }
 
  private:
@@ -59,7 +58,6 @@ class BrokerAgent final : public agent::Agent {
   std::unique_ptr<Matcher> matcher_;
   ServiceRegistry registry_;
   std::vector<agent::AgentId> peers_;
-  std::size_t queries_served_ = 0;
   std::size_t queries_forwarded_ = 0;
 };
 

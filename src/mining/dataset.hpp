@@ -40,8 +40,6 @@ class StreamGenerator {
 
   std::size_t dimensions() const { return dimensions_; }
 
-  /// Replaces the hidden concept (concept drift).
-  void set_concept(Concept target) { concept_ = std::move(target); }
   /// Installs a fresh random DNF concept.
   void drift(std::size_t terms = 4, std::size_t literals_per_term = 3);
 

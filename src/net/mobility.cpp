@@ -55,8 +55,4 @@ void WaypointMobility::tick_leg(std::size_t index) {
   sim.schedule(config_.tick, [this, index] { tick_leg(index); });
 }
 
-void place_node(Network& network, NodeId node, Vec3 position) {
-  network.move_node(node, position);
-}
-
 }  // namespace pgrid::net

@@ -68,8 +68,4 @@ class WaypointMobility {
   std::uint64_t moves_ = 0;
 };
 
-/// Moves a node instantly (teleport); bumps topology. Convenience for
-/// scripted scenarios (a truck parks somewhere else).
-void place_node(Network& network, NodeId node, Vec3 position);
-
 }  // namespace pgrid::net

@@ -373,7 +373,6 @@ class Network {
 
   const NetworkStats& stats() const { return stats_; }
   const TopologyStats& topology_stats() const;
-  const SpatialGrid& spatial_grid() const { return grid_; }
   /// Clears aggregate stats, per-node counters, and the cost ledger.
   void reset_stats();
   /// Also clears per-node counters and refills batteries.

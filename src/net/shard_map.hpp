@@ -64,13 +64,6 @@ class ShardMap {
     return ra != rb && ra != kInvalidRegion && rb != kInvalidRegion;
   }
 
-  /// The canonical region -> shard-lane fold used everywhere (lockstep
-  /// lanes, benches, tests): pure in (region, shards), so outcomes never
-  /// depend on it.
-  static std::uint32_t shard_of(RegionId region, std::size_t shards) {
-    return shards == 0 ? 0 : static_cast<std::uint32_t>(region % shards);
-  }
-
   /// Distinct cells whose assignment has been computed (diagnostics).
   std::size_t cells_mapped() const { return cell_region_.size(); }
 

@@ -51,7 +51,6 @@ void SpatialGrid::rebuild(double new_cell_m) {
     entry.key = key_of(entry.pos);
     cells_[entry.key].push_back(id);
   }
-  ++rebuilds_;
 }
 
 void SpatialGrid::remove_from_bucket(std::uint64_t key, NodeId id) {
@@ -75,7 +74,6 @@ void SpatialGrid::insert(NodeId id, Vec3 pos, double range_m) {
   if (id >= entries_.size()) entries_.resize(id + 1);
   Entry& entry = entries_[id];
   if (entry.indexed) remove_from_bucket(entry.key, id);
-  else ++indexed_;
   entry.pos = pos;
   entry.range_m = std::max(range_m, 0.0);
   entry.key = key_of(pos);

@@ -81,10 +81,6 @@ class SpatialGrid {
   /// superset of the in-range peers.
   void gather(NodeId id, std::vector<NodeId>& out) const;
 
-  double cell_size_m() const { return cell_m_; }
-  std::size_t indexed_count() const { return indexed_; }
-  std::uint64_t rebuilds() const { return rebuilds_; }
-
  private:
   struct Entry {
     Vec3 pos;
@@ -100,8 +96,6 @@ class SpatialGrid {
   std::unordered_map<std::uint64_t, std::vector<NodeId>> cells_;
   std::vector<Entry> entries_;  ///< indexed by NodeId
   double cell_m_ = 0.0;
-  std::size_t indexed_ = 0;
-  std::uint64_t rebuilds_ = 0;
 };
 
 /// Flat CSR adjacency of the whole deployment at one (topology, liveness)
@@ -120,7 +114,6 @@ struct TopologySnapshot {
   std::size_t size() const {
     return offsets.empty() ? 0 : offsets.size() - 1;
   }
-  std::size_t edge_count() const { return adjacency.size(); }
 
   std::span<const NodeId> row(NodeId id) const {
     if (id + 1 >= offsets.size()) return {};

@@ -90,10 +90,6 @@ struct ChaosMix {
   /// leave at least one node on each side).
   double max_cut_fraction = 0.5;
 
-  double weight_of(FaultKind kind) const {
-    return weight[static_cast<std::size_t>(kind)];
-  }
-
   static ChaosMix disconnection_heavy();
   static ChaosMix lossy_mesh();
   static ChaosMix partition_storm();

@@ -27,36 +27,22 @@ ShardMailbox::ShardMailbox(std::size_t regions)
 void ShardMailbox::post(std::uint32_t src, std::uint32_t dst, SimTime at,
                         Simulator::Callback fn) {
   assert(src <= regions_ && dst < regions_ && "mailbox lane out of range");
-  std::lock_guard lock(mutex_);
   pending_.push_back(
       CrossShardMessage{at.us, src, dst, next_seq_[src]++, std::move(fn)});
-}
-
-bool ShardMailbox::empty() const {
-  std::lock_guard lock(mutex_);
-  return pending_.empty();
-}
-
-std::size_t ShardMailbox::pending() const {
-  std::lock_guard lock(mutex_);
-  return pending_.size();
 }
 
 std::size_t ShardMailbox::deliver_all(const std::vector<Simulator*>& regions,
                                       std::uint64_t& digest,
                                       std::uint64_t& violations) {
   std::vector<CrossShardMessage> batch;
-  {
-    std::lock_guard lock(mutex_);
-    batch.swap(pending_);
-  }
+  batch.swap(pending_);
   if (batch.empty()) return 0;
   // Canonical exchange order: (deliver time, source region, source seq).
   // Every component is decided by the sender's deterministic execution, so
-  // the order is invariant under the region-to-shard fold and under thread
-  // scheduling inside a window.  Sort a compact key array, not the
-  // messages themselves — message records carry a callback whose moves are
-  // not free, and a busy barrier exchanges tens of thousands of them.
+  // the order does not depend on the order regions ran inside the window.
+  // Sort a compact key array, not the messages themselves — message records
+  // carry a callback whose moves are not free, and a busy barrier exchanges
+  // tens of thousands of them.
   struct Key {
     std::int64_t at_us;
     std::uint32_t src;
@@ -82,7 +68,7 @@ std::size_t ShardMailbox::deliver_all(const std::vector<Simulator*>& regions,
                                message.dst);
     digest = fnv1a(digest, message.seq);
     // schedule_at clamps a pre-barrier timestamp to the target's clock —
-    // deterministically, because both inputs are shard-count-invariant.
+    // deterministically, because both inputs are.
     regions[message.dst]->schedule_at(SimTime{message.at_us},
                                       std::move(message.fn));
   }
@@ -93,10 +79,8 @@ LockstepWorld::LockstepWorld(ShardingConfig config,
                              std::vector<Simulator*> regions)
     : config_(config),
       regions_(std::move(regions)),
-      mailbox_(regions_.size()),
-      fired_(regions_.size(), 0) {
+      mailbox_(regions_.size()) {
   assert(!regions_.empty());
-  if (config_.shards == 0) config_.shards = 1;
   if (config_.window.us <= 0) config_.window = SimTime::microseconds(1);
 }
 
@@ -111,54 +95,32 @@ bool LockstepWorld::next_event_time(SimTime& out) const {
   return any;
 }
 
-std::uint64_t LockstepWorld::run_window(SimTime end,
-                                        common::ThreadPool* pool) {
-  const std::size_t lanes = std::min(config_.shards, regions_.size());
-  auto run_lane = [&](std::size_t lane) {
-    // A lane advances its regions in ascending region order.  Regions are
-    // mutually independent inside a window (cross-region effects ride the
-    // mailbox), so the lane fold and the order within a lane are both
-    // invisible to outcomes.
-    for (std::size_t r = lane; r < regions_.size(); r += lanes) {
-      fired_[r] = regions_[r]->run_until(end);
-    }
-  };
-  if (pool != nullptr && lanes > 1) {
-    pool->parallel_for(lanes,
-                       [&](std::size_t first, std::size_t last) {
-                         for (std::size_t lane = first; lane < last; ++lane) {
-                           run_lane(lane);
-                         }
-                       });
-  } else {
-    for (std::size_t lane = 0; lane < lanes; ++lane) run_lane(lane);
-  }
+std::uint64_t LockstepWorld::run_window(SimTime end) {
+  // Regions are mutually independent inside a window (cross-region effects
+  // ride the mailbox), so advancing them one after another is exact.
   std::uint64_t total = 0;
   for (std::size_t r = 0; r < regions_.size(); ++r) {
+    const std::uint64_t fired = regions_[r]->run_until(end);
     // Fold (window end, region, fired) in region order: the digest then
     // witnesses every region's per-window cadence, not just the mailbox.
-    if (fired_[r] != 0) {
+    if (fired != 0) {
       digest_ = fnv1a(digest_, static_cast<std::uint64_t>(end.us));
-      digest_ = fnv1a(digest_, (static_cast<std::uint64_t>(r) << 32) |
-                                   fired_[r]);
+      digest_ = fnv1a(digest_, (static_cast<std::uint64_t>(r) << 32) | fired);
     }
-    total += fired_[r];
-    fired_[r] = 0;
+    total += fired;
   }
   return total;
 }
 
-LockstepStats LockstepWorld::run(common::ThreadPool* pool) {
-  return run_until(SimTime{std::numeric_limits<std::int64_t>::max()}, pool);
+LockstepStats LockstepWorld::run() {
+  return run_until(SimTime{std::numeric_limits<std::int64_t>::max()});
 }
 
-LockstepStats LockstepWorld::run_until(SimTime deadline,
-                                       common::ThreadPool* pool) {
+LockstepStats LockstepWorld::run_until(SimTime deadline) {
   LockstepStats before = stats_;
   for (;;) {
     // Barrier: exchange everything posted during the last window.  The
-    // next window's start is derived from global (shard-count-invariant)
-    // state only.
+    // next window's start is derived from global state only.
     SimTime start{};
     const bool have_events = next_event_time(start);
     std::uint64_t violations = 0;
@@ -172,7 +134,7 @@ LockstepStats LockstepWorld::run_until(SimTime deadline,
     // can interleave lockstep execution with external injection.
     SimTime end = start + config_.window;
     if (end > deadline) end = deadline;
-    stats_.events += run_window(end, pool);
+    stats_.events += run_window(end);
     ++stats_.windows;
   }
   // Idle regions' clocks advance in step with the fleet.

@@ -589,7 +589,7 @@ TEST(ChaosStationCallback, FiresForStationFaultsOnly) {
 // Sharded deployments: adoption + roaming handoff
 // ---------------------------------------------------------------------------
 
-core::ShardedDeploymentConfig sharded_failover_config(std::size_t shards) {
+core::ShardedDeploymentConfig sharded_failover_config() {
   core::ShardedDeploymentConfig config;
   config.base = failover_config(true);
   config.base.sensors.noise_std = 0.0;
@@ -597,7 +597,6 @@ core::ShardedDeploymentConfig sharded_failover_config(std::size_t shards) {
   config.base.pool_threads = 1;
   config.base.sharing.enabled = true;  // adoption re-admits through sharing
   config.base.failover.checkpoint_period_s = 0.5;
-  config.base.sharding.shards = shards;
   config.base.sharding.window = sim::SimTime::milliseconds(5);
   config.regions = 2;
   config.region_spacing_m = 400.0;
@@ -611,8 +610,8 @@ struct AdoptionRun {
   core::ShardedFailoverStats stats;
 };
 
-AdoptionRun run_adoption_scenario(std::size_t shards) {
-  core::ShardedDeployment dep(sharded_failover_config(shards));
+AdoptionRun run_adoption_scenario() {
+  core::ShardedDeployment dep(sharded_failover_config());
   dep.arm_station_failover(0);
   dep.arm_station_failover(1);
   sim::Fault crash;
@@ -634,7 +633,7 @@ AdoptionRun run_adoption_scenario(std::size_t shards) {
 }
 
 TEST(ShardedAdoption, NeighborAdoptsCrashedRegionAndMigratesBack) {
-  const auto run = run_adoption_scenario(1);
+  const auto run = run_adoption_scenario();
   EXPECT_EQ(run.done_count, 1) << "the client is answered exactly once";
   ASSERT_EQ(run.outcome.epochs.size(), 10u);
   EXPECT_TRUE(run.outcome.ok) << run.outcome.error;
@@ -648,9 +647,9 @@ TEST(ShardedAdoption, NeighborAdoptsCrashedRegionAndMigratesBack) {
       << "the restart must reclaim the in-flight adoption";
 }
 
-TEST(ShardedAdoption, BitIdenticalAcrossShardCounts) {
-  const auto one = run_adoption_scenario(1);
-  const auto two = run_adoption_scenario(2);
+TEST(ShardedAdoption, BitIdenticalAcrossRuns) {
+  const auto one = run_adoption_scenario();
+  const auto two = run_adoption_scenario();
   ASSERT_EQ(one.done_count, 1);
   ASSERT_EQ(two.done_count, 1);
   ASSERT_EQ(one.outcome.epochs.size(), two.outcome.epochs.size());
@@ -664,11 +663,12 @@ TEST(ShardedAdoption, BitIdenticalAcrossShardCounts) {
   EXPECT_EQ(one.outcome.coverage, two.outcome.coverage);
   EXPECT_EQ(one.stats.station_outages, two.stats.station_outages);
   EXPECT_EQ(one.stats.queries_adopted, two.stats.queries_adopted);
+  EXPECT_EQ(one.stats.checkpoints_shipped, two.stats.checkpoints_shipped);
   EXPECT_EQ(one.stats.migrations_back, two.stats.migrations_back);
 }
 
 TEST(RoamingHandoff, QueryFollowsClientAcrossShardBoundary) {
-  core::ShardedDeployment dep(sharded_failover_config(1));
+  core::ShardedDeployment dep(sharded_failover_config());
   // The handheld walks from region 0 toward region 1; when the shared
   // ShardMap says it crossed the boundary, its standing query re-homes.
   const net::NodeId handheld = dep.region(0).handheld_node();

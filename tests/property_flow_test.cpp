@@ -503,13 +503,11 @@ TEST(FlowPlans, BrokenRouteFailsAtTheBrokenHopWithoutCharge) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded flow backhaul: barrier-exchange completions, shard-fold invariant.
+// Sharded flow backhaul: barrier-exchange completions, run-to-run identity.
 
-core::ShardedDeploymentConfig city_config(std::size_t regions,
-                                          std::size_t shards, bool flow) {
+core::ShardedDeploymentConfig city_config(std::size_t regions, bool flow) {
   core::ShardedDeploymentConfig config;
   config.base = small_config(16, flow);
-  config.base.sharding.shards = shards;
   config.base.sharding.window = sim::SimTime::milliseconds(5);
   config.regions = regions;
   config.region_spacing_m = 400.0;
@@ -523,8 +521,8 @@ struct BackhaulWitness {
   std::uint64_t digest = 0;
 };
 
-BackhaulWitness run_backhaul(std::size_t shards) {
-  core::ShardedDeployment dep(city_config(2, shards, true));
+BackhaulWitness run_backhaul() {
+  core::ShardedDeployment dep(city_config(2, true));
   BackhaulWitness w;
   dep.submit_remote(0, 1, sim::SimTime::milliseconds(1),
                     "SELECT AVG(temp) FROM sensors",
@@ -540,7 +538,7 @@ BackhaulWitness run_backhaul(std::size_t shards) {
 }
 
 TEST(ShardedFlow, BackhaulFlowsAreCountedOncePerTransfer) {
-  const auto w = run_backhaul(1);
+  const auto w = run_backhaul();
   ASSERT_TRUE(w.remote.ok) << w.remote.error;
   EXPECT_TRUE(w.transfer_ok);
   // Region 0 sent the forwarded query, region 1 sent the bulk transfer:
@@ -550,9 +548,9 @@ TEST(ShardedFlow, BackhaulFlowsAreCountedOncePerTransfer) {
   EXPECT_EQ(w.stats[1].cross_region_frames, 1u);
 }
 
-TEST(ShardedFlow, BackhaulInvariantUnderShardFold) {
-  const auto one = run_backhaul(1);
-  const auto two = run_backhaul(2);
+TEST(ShardedFlow, BackhaulBitIdenticalAcrossRuns) {
+  const auto one = run_backhaul();
+  const auto two = run_backhaul();
   ASSERT_TRUE(one.remote.ok);
   ASSERT_TRUE(two.remote.ok);
   EXPECT_EQ(one.remote.actual.value, two.remote.actual.value);
@@ -571,7 +569,7 @@ TEST(ShardedFlow, BackhaulInvariantUnderShardFold) {
 TEST(ShardedFlow, SubmitRemoteKillSwitchKeepsLegacyTimeline) {
   // Flow disabled: submit_remote must reproduce the PR 6 timeline — no
   // cross-region bookkeeping, arrival exactly backhaul_latency later.
-  core::ShardedDeployment dep(city_config(2, 1, false));
+  core::ShardedDeployment dep(city_config(2, false));
   core::QueryOutcome remote;
   dep.submit_remote(0, 1, sim::SimTime::milliseconds(1),
                     "SELECT AVG(temp) FROM sensors",

@@ -1,17 +1,17 @@
 // Property tests for SPMD world partitioning (sim/shard.hpp,
-// net/shard_map.hpp, core/sharded.hpp): the determinism contract says the
-// region-to-shard fold is invisible to outcomes — running the same world on
-// 1, 2 or 4 shards (serial or pooled) must produce bit-identical event
-// order, NetworkStats, ledger totals and chaos schedules.  These sweeps
-// compare full witnesses (order digests, per-region event logs, query
-// outcomes) across shard counts rather than spot-checking.
+// net/shard_map.hpp, core/sharded.hpp): the determinism contract says a
+// lockstep world is a pure function of its inputs — running the same world
+// twice must produce bit-identical event order, NetworkStats, ledger totals
+// and chaos schedules, and every region runs on the calling thread.  These
+// checks compare full witnesses (order digests, per-region event logs,
+// query outcomes) rather than spot-checking.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/sharded.hpp"
 #include "net/shard_map.hpp"
 #include "sim/shard.hpp"
@@ -77,15 +77,12 @@ struct SyntheticResult {
   sim::LockstepStats stats;
 };
 
-SyntheticResult run_synthetic(std::size_t regions, std::size_t shards,
-                              bool pooled) {
+SyntheticResult run_synthetic(std::size_t regions) {
   sim::ShardingConfig cfg;
-  cfg.shards = shards;
   cfg.window = sim::SimTime::microseconds(500);
   SyntheticWorld world(regions, cfg);
-  common::ThreadPool pool(4);
   SyntheticResult result;
-  result.stats = world.world->run(pooled ? &pool : nullptr);
+  result.stats = world.world->run();
   result.logs = std::move(world.logs);
   result.digest = world.world->order_digest();
   return result;
@@ -106,26 +103,13 @@ void expect_same_logs(const SyntheticResult& a, const SyntheticResult& b,
   EXPECT_EQ(a.stats.lookahead_violations, b.stats.lookahead_violations);
 }
 
-class ShardCountSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ShardCountSweep, LockstepEventOrderInvariantUnderShardCount) {
-  // Baseline: 1 shard, serial.  Sweep: GetParam() shards, serial.
-  const auto baseline = run_synthetic(4, 1, false);
-  const auto sharded = run_synthetic(4, GetParam(), false);
-  expect_same_logs(baseline, sharded,
-                   "shards=" + std::to_string(GetParam()));
-  EXPECT_EQ(baseline.stats.lookahead_violations, 0u);
+TEST(Lockstep, EventOrderBitIdenticalAcrossRuns) {
+  const auto first = run_synthetic(4);
+  const auto second = run_synthetic(4);
+  expect_same_logs(first, second, "second run");
+  EXPECT_GT(first.stats.messages, 0u);
+  EXPECT_EQ(first.stats.lookahead_violations, 0u);
 }
-
-TEST_P(ShardCountSweep, PooledLanesBitIdenticalToSerial) {
-  const auto serial = run_synthetic(4, GetParam(), false);
-  const auto pooled = run_synthetic(4, GetParam(), true);
-  expect_same_logs(serial, pooled,
-                   "pooled shards=" + std::to_string(GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ShardCountSweep,
-                         ::testing::Values(1u, 2u, 4u));
 
 TEST(Lockstep, MatchesGlobalSingleQueueBaseline) {
   // The same workload in one global simulator: regions interleave in a
@@ -170,7 +154,7 @@ TEST(Lockstep, MatchesGlobalSingleQueueBaseline) {
 
   // Sharded run of the identical workload (message latency 1000us = two
   // 500us windows, matching SyntheticWorld).
-  const auto sharded = run_synthetic(kRegions, 2, false);
+  const auto sharded = run_synthetic(kRegions);
   for (std::size_t r = 0; r < kRegions; ++r) {
     EXPECT_EQ(global_logs[r].fired_at_us, sharded.logs[r].fired_at_us)
         << "region " << r;
@@ -180,7 +164,6 @@ TEST(Lockstep, MatchesGlobalSingleQueueBaseline) {
 
 TEST(Lockstep, LookaheadViolationsCountedAndClamped) {
   sim::ShardingConfig cfg;
-  cfg.shards = 2;
   cfg.window = sim::SimTime::milliseconds(10);
   SyntheticWorld world(2, cfg);
   // A message timestamped in the past of the first barrier: counted as a
@@ -188,7 +171,7 @@ TEST(Lockstep, LookaheadViolationsCountedAndClamped) {
   bool delivered = false;
   world.world->post_control(1, sim::SimTime::microseconds(-5),
                             [&delivered] { delivered = true; });
-  const auto stats = world.world->run(nullptr);
+  const auto stats = world.world->run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(stats.lookahead_violations, 1u);
 }
@@ -216,19 +199,10 @@ TEST(ShardMap, CellGranularAssignmentAndBoundary) {
   EXPECT_GE(map.cells_mapped(), 4u);
 }
 
-TEST(ShardMap, ShardFoldIsPure) {
-  for (std::uint32_t region = 0; region < 16; ++region) {
-    EXPECT_EQ(net::ShardMap::shard_of(region, 4), region % 4);
-    EXPECT_EQ(net::ShardMap::shard_of(region, 1), 0u);
-    EXPECT_EQ(net::ShardMap::shard_of(region, 0), 0u);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Full-deployment witnesses across shard counts.
+// Full-deployment witnesses.
 
-core::ShardedDeploymentConfig deployment_config(std::size_t regions,
-                                                std::size_t shards) {
+core::ShardedDeploymentConfig deployment_config(std::size_t regions) {
   core::ShardedDeploymentConfig config;
   config.base.seed = 42;
   config.base.sensors.sensor_count = 16;
@@ -238,7 +212,6 @@ core::ShardedDeploymentConfig deployment_config(std::size_t regions,
   config.base.advertise_sensor_services = false;
   config.base.pde_resolution = 9;
   config.base.pool_threads = 1;
-  config.base.sharding.shards = shards;
   config.base.sharding.window = sim::SimTime::milliseconds(5);
   config.regions = regions;
   config.region_spacing_m = 400.0;
@@ -254,11 +227,9 @@ struct DeploymentWitness {
   sim::LockstepStats lockstep;
 };
 
-DeploymentWitness run_deployment(std::size_t regions, std::size_t shards) {
-  core::ShardedDeployment dep(deployment_config(regions, shards));
+DeploymentWitness run_deployment(std::size_t regions) {
+  core::ShardedDeployment dep(deployment_config(regions));
   DeploymentWitness w;
-  // Slots are preallocated because callbacks fire on shard lanes: each lane
-  // writes only its own region's slot, never resizing the vector.
   w.outcomes.resize(regions + 1);
   for (std::size_t r = 0; r < regions; ++r) {
     dep.submit(r, sim::SimTime::milliseconds(1),
@@ -319,24 +290,49 @@ void expect_same_witness(const DeploymentWitness& a,
   EXPECT_EQ(a.lockstep.messages, b.lockstep.messages) << label;
 }
 
-TEST(ShardedDeployment, OutcomesBitIdenticalAcrossShardCounts) {
-  const auto one = run_deployment(4, 1);
-  for (const auto& outcome : one.outcomes) {
+TEST(ShardedDeployment, OutcomesBitIdenticalAcrossRuns) {
+  const auto first = run_deployment(4);
+  for (const auto& outcome : first.outcomes) {
     ASSERT_TRUE(outcome.ok) << outcome.error;
   }
-  EXPECT_EQ(one.outcomes.size(), 5u);  // 4 local + 1 forwarded
-  EXPECT_GT(one.lockstep.messages, 0u);
-  const auto two = run_deployment(4, 2);
-  const auto four = run_deployment(4, 4);
-  expect_same_witness(one, two, "shards 1 vs 2");
-  expect_same_witness(one, four, "shards 1 vs 4");
+  EXPECT_EQ(first.outcomes.size(), 5u);  // 4 local + 1 forwarded
+  EXPECT_GT(first.lockstep.messages, 0u);
+  expect_same_witness(first, run_deployment(4), "second run");
+}
+
+TEST(ShardedDeployment, RunsEveryRegionOnTheCallingThread) {
+  // `shards` is assigned the way the perf harness assigns it; regions must
+  // still run serially on the caller's thread, never on worker lanes.
+  auto config = deployment_config(4);
+  config.base.sharding.shards = 4;
+  core::ShardedDeployment dep(config);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> seen;
+  for (std::size_t r = 0; r < dep.region_count(); ++r) {
+    dep.region(r).simulator().schedule_at(
+        sim::SimTime::milliseconds(3),
+        [&seen] { seen.push_back(std::this_thread::get_id()); });
+    dep.submit(r, sim::SimTime::milliseconds(1),
+               "SELECT AVG(temp) FROM sensors",
+               [&seen](const core::QueryOutcome&) {
+                 seen.push_back(std::this_thread::get_id());
+               });
+  }
+  dep.submit_remote(0, 3, sim::SimTime::milliseconds(2),
+                    "SELECT MAX(temp) FROM sensors",
+                    [&seen](const core::QueryOutcome&) {
+                      seen.push_back(std::this_thread::get_id());
+                    });
+  dep.run();
+  ASSERT_EQ(seen.size(), 2 * dep.region_count() + 1);
+  for (const std::thread::id id : seen) EXPECT_EQ(id, caller);
 }
 
 TEST(ShardedDeployment, KillSwitchMatchesLegacyRuntime) {
-  // One region, one shard: the deployment must be byte-identical to a plain
+  // One region: the deployment must be byte-identical to a plain
   // PervasiveGridRuntime built from the same config — same seed (region 0
   // keeps it), same zero origin, same everything.
-  auto config = deployment_config(1, 1);
+  auto config = deployment_config(1);
   core::PervasiveGridRuntime legacy(config.base);
   const auto legacy_outcome =
       legacy.submit_and_run("SELECT AVG(temp) FROM sensors");
@@ -373,12 +369,11 @@ TEST(ShardedDeployment, RegionSeedDerivation) {
 TEST(ShardedDeployment, OverlappingRegionsCountBoundaryFrames) {
   // Pack regions so close that one deployment's sensors fall in cells owned
   // by the neighbour region: the send path must count those frames as
-  // boundary traffic — and the count must not depend on the shard fold.
-  auto config = deployment_config(2, 1);
+  // boundary traffic — and the count must repeat run to run.
+  auto config = deployment_config(2);
   config.region_spacing_m = 50.0;  // deployment is 60 m wide: overlap
   std::vector<std::uint64_t> counts;
-  for (std::size_t shards : {1u, 2u}) {
-    config.base.sharding.shards = shards;
+  for (int run = 0; run < 2; ++run) {
     core::ShardedDeployment dep(config);
     core::QueryOutcome outcome;
     dep.submit(0, sim::SimTime::milliseconds(1),
@@ -395,7 +390,7 @@ TEST(ShardedDeployment, OverlappingRegionsCountBoundaryFrames) {
 
 // ---------------------------------------------------------------------------
 // Chaos under sharding: schedules and injected faults are bit-identical
-// across shard counts, including remote injection through the control lane.
+// across runs, including remote injection through the control lane.
 
 struct ChaosWitness {
   std::vector<sim::Schedule> schedules;
@@ -404,9 +399,8 @@ struct ChaosWitness {
   std::uint64_t digest = 0;
 };
 
-ChaosWitness run_chaos_deployment(std::size_t shards) {
-  auto config = deployment_config(2, shards);
-  core::ShardedDeployment dep(config);
+ChaosWitness run_chaos_deployment() {
+  core::ShardedDeployment dep(deployment_config(2));
   ChaosWitness w;
   sim::ChaosConfig chaos_config;
   chaos_config.horizon = sim::SimTime::seconds(30.0);
@@ -416,7 +410,7 @@ ChaosWitness run_chaos_deployment(std::size_t shards) {
     w.schedules.push_back(dep.arm_chaos(r, chaos_config));
   }
   // A remote partition injected across the control lane: region 1's first
-  // three sensors are cut off, straddling whatever shard lane owns them.
+  // three sensors are cut off from its base station.
   sim::Fault storm;
   storm.kind = sim::FaultKind::kPartition;
   storm.at = sim::SimTime::seconds(1.0);
@@ -443,8 +437,8 @@ ChaosWitness run_chaos_deployment(std::size_t shards) {
   return w;
 }
 
-TEST(ShardedChaos, SchedulesAndInjectionBitIdenticalAcrossShardCounts) {
-  const auto one = run_chaos_deployment(1);
+TEST(ShardedChaos, SchedulesAndInjectionBitIdenticalAcrossRuns) {
+  const auto one = run_chaos_deployment();
   // The remote partition must actually have fired in region 1.
   ASSERT_FALSE(one.injected_order[1].empty());
   bool saw_injected = false;
@@ -452,16 +446,14 @@ TEST(ShardedChaos, SchedulesAndInjectionBitIdenticalAcrossShardCounts) {
     if (index >= 8) saw_injected = true;  // armed schedule has 8 faults
   }
   EXPECT_TRUE(saw_injected) << "control-lane fault never applied";
-  for (std::size_t shards : {2u, 4u}) {
-    const auto other = run_chaos_deployment(shards);
-    EXPECT_EQ(one.schedules, other.schedules) << shards << " shards";
-    EXPECT_EQ(one.injected_order, other.injected_order) << shards << " shards";
-    EXPECT_EQ(one.digest, other.digest) << shards << " shards";
-    for (std::size_t r = 0; r < 2; ++r) {
-      EXPECT_EQ(one.stats[r].transmissions, other.stats[r].transmissions);
-      EXPECT_EQ(one.stats[r].dropped, other.stats[r].dropped);
-      EXPECT_EQ(one.stats[r].energy_j, other.stats[r].energy_j);
-    }
+  const auto other = run_chaos_deployment();
+  EXPECT_EQ(one.schedules, other.schedules);
+  EXPECT_EQ(one.injected_order, other.injected_order);
+  EXPECT_EQ(one.digest, other.digest);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(one.stats[r].transmissions, other.stats[r].transmissions);
+    EXPECT_EQ(one.stats[r].dropped, other.stats[r].dropped);
+    EXPECT_EQ(one.stats[r].energy_j, other.stats[r].energy_j);
   }
 }
 
