@@ -4,8 +4,11 @@
 //          per-destination hop tables) vs the naive O(N) scan /
 //          fresh-Dijkstra path, N ∈ {100, 400, 1600, 6400}, plus a
 //          many-to-one series (every node to the base, cold search vs hop
-//          table) and one runtime built with and without per-sensor
-//          service advertisement at the largest N.
+//          table), a member-to-head series (40-cluster rounds of
+//          member -> head lookups from a cold cache, with the hop tables
+//          they earn and a form_clusters timing row) and one runtime built
+//          with and without per-sensor service advertisement at the
+//          largest N.
 // EXP-N3 — incremental topology epochs under mobility: a few roaming
 //          clients perturb one corner of the field every tick while the
 //          deployment keeps asking for routes.  Delta CSR patching plus
@@ -43,6 +46,7 @@
 #include "bench_util.hpp"
 #include "net/mobility.hpp"
 #include "net/routing.hpp"
+#include "sensornet/clustering.hpp"
 
 namespace {
 
@@ -321,6 +325,113 @@ int main(int argc, char** argv) {
                   "so its cost grows with N; once the base has its hop table "
                   "a lookup expands only min-hop path nodes, one table per "
                   "run, with routes identical to the cold search.");
+
+  // EXP-N1 member-to-head: the cluster round's unicast shape.  Each round
+  // drains every sensor by a random sliver first, so the head (the member
+  // with the most energy left) sits anywhere in its cluster, as it does
+  // once a deployment has run a while; then it forms 40 clusters
+  // (form_clusters, timed on its own), bumps the topology version so the
+  // route cache and hop tables start cold, and searches every member ->
+  // head route in cluster order, as collect_clustered's deliveries do
+  // (each pair is new to the route cache, so every delivery runs
+  // shortest_path): a head whose members' searches have explored n nodes
+  // earns a hop table for the rest of its members.  "no tables" repeats
+  // the round's searches with a version bump every 8 lookups, too few for
+  // any head to earn a table; each bump's snapshot rebuild and a sweep
+  // over the rebuilt rows are not timed.  Every "no tables" route must
+  // equal its as-run route, and sampled routes the naive oracle: every
+  // lookup at N=400, every 8th beyond.
+  common::Table member_table({"nodes", "clusters", "rounds", "lookups/round",
+                              "as run us/lookup", "no tables us/lookup",
+                              "tables built/round", "no-table builds",
+                              "naive checked"});
+  common::Table kmeans_table({"nodes", "clusters", "calls", "ms/call"});
+  {
+    const std::size_t n = quick ? 400 : 1600;
+    constexpr std::size_t kClusters = 40;
+    constexpr std::size_t kChunk = 8;
+    const std::size_t rounds = quick ? 2 : 3;
+    core::PervasiveGridRuntime runtime(bench::standard_config(n));
+    auto& net = runtime.network();
+    const auto& sensors = runtime.sensors().sensors();
+    const std::size_t naive_stride = n <= 400 ? 1 : 8;
+    common::Rng rng(0xc105ULL);
+    double kmeans_s = 0.0;
+    double run_s = 0.0;
+    double bare_s = 0.0;
+    std::size_t lookups = 0;
+    std::size_t naive_checked = 0;
+    std::uint64_t tables = 0;
+    std::uint64_t bare_tables = 0;
+    std::size_t warm_sink = 0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (net::NodeId id : sensors) {
+        net.drain_energy(id, rng.uniform(0.0, 1e-3));
+      }
+      auto t0 = std::chrono::steady_clock::now();
+      const auto clusters = sensornet::form_clusters(net, sensors, kClusters,
+                                                     rng);
+      kmeans_s += seconds_since(t0);
+      std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
+      for (const auto& cluster : clusters) {
+        for (net::NodeId member : cluster.members) {
+          if (member != cluster.head) pairs.emplace_back(member, cluster.head);
+        }
+      }
+      lookups += pairs.size();
+      net.bump_topology_version();
+      net.topology_snapshot();  // untimed rebuild
+      std::uint64_t built_before = net.topology_stats().hop_tables_built;
+      std::vector<std::vector<net::NodeId>> routes(pairs.size());
+      t0 = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        routes[i] = net::shortest_path(net, pairs[i].first, pairs[i].second);
+      }
+      run_s += seconds_since(t0);
+      tables += net.topology_stats().hop_tables_built - built_before;
+      built_before = net.topology_stats().hop_tables_built;
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        if (i % kChunk == 0) {
+          net.bump_topology_version();
+          const net::TopologySnapshot& topo = net.topology_snapshot();
+          for (net::NodeId id = 0; id < net.size(); ++id) {
+            for (net::NodeId next : topo.row(id)) warm_sink += next;
+          }
+        }
+        t0 = std::chrono::steady_clock::now();
+        const auto bare = net::shortest_path(net, pairs[i].first,
+                                             pairs[i].second);
+        bare_s += seconds_since(t0);
+        if (bare != routes[i]) oracle_ok = false;
+        if (i % naive_stride == 0) {
+          ++naive_checked;
+          if (routes[i] != net::shortest_path_naive(net, pairs[i].first,
+                                                    pairs[i].second)) {
+            oracle_ok = false;
+          }
+        }
+      }
+      bare_tables += net.topology_stats().hop_tables_built - built_before;
+    }
+    if (warm_sink == 0) std::cerr << "";  // keep `warm_sink` observable
+    member_table.add_row(
+        {common::Table::num(std::uint64_t(net.size())),
+         common::Table::num(std::uint64_t(kClusters)),
+         common::Table::num(std::uint64_t(rounds)),
+         common::Table::num(double(lookups) / double(rounds), 1),
+         common::Table::num(run_s * 1e6 / double(lookups), 2),
+         common::Table::num(bare_s * 1e6 / double(lookups), 2),
+         common::Table::num(double(tables) / double(rounds), 1),
+         common::Table::num(bare_tables),
+         common::Table::num(std::uint64_t(naive_checked))});
+    kmeans_table.add_row({common::Table::num(std::uint64_t(sensors.size())),
+                          common::Table::num(std::uint64_t(kClusters)),
+                          common::Table::num(std::uint64_t(rounds)),
+                          common::Table::num(kmeans_s * 1e3 / double(rounds),
+                                             3)});
+  }
+  experiment.series("member-to-head", member_table);
+  experiment.series("form-clusters", kmeans_table);
 
   // The advertisement finding: one runtime built with one sensing service
   // advertised per sensor (1 route per sensor to the broker) against the

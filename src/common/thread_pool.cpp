@@ -46,14 +46,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-  parallel_for_chunks(
-      n, [&body](std::size_t, std::size_t first, std::size_t last) {
-        body(first, last);
-      });
-}
-
 void ThreadPool::parallel_for_chunks(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {

@@ -32,8 +32,8 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// True when the calling thread is one of this pool's workers.  Blocking
-  /// on pool work from inside the pool can deadlock; parallel_for uses this
-  /// to degrade to inline execution instead.
+  /// on pool work from inside the pool can deadlock; parallel_for_chunks
+  /// uses this to degrade to inline execution instead.
   bool on_worker_thread() const;
 
   /// Enqueues a task; the future resolves when it completes.  Must not be
@@ -41,23 +41,19 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Splits [0, n) into contiguous chunks across the pool and blocks until
-  /// every chunk completes.  body(first, last) processes [first, last).
-  /// n == 0 is a no-op; a single-worker pool (or a call from one of this
-  /// pool's own workers, which could otherwise deadlock waiting on itself)
-  /// runs the whole range inline on the calling thread.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body);
-
-  /// Like parallel_for, but the body also receives its deterministic chunk
-  /// index in [0, chunk_count(n)).  Reductions that combine per-chunk
-  /// partials index by it so the combine order — and therefore the
-  /// floating-point result — is a function of (n, pool size) alone, never
-  /// of thread scheduling.
+  /// every chunk completes.  body(chunk, first, last) processes [first,
+  /// last); `chunk` is its deterministic index in [0, chunk_count(n)).
+  /// Reductions that combine per-chunk partials index by it so the combine
+  /// order — and therefore the floating-point result — is a function of
+  /// (n, pool size) alone, never of thread scheduling.  n == 0 is a no-op;
+  /// a single-worker pool (or a call from one of this pool's own workers,
+  /// which could otherwise deadlock waiting on itself) runs the whole range
+  /// inline on the calling thread.
   void parallel_for_chunks(
       std::size_t n,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
 
-  /// Chunks parallel_for/parallel_for_chunks will split [0, n) into.
+  /// Chunks parallel_for_chunks will split [0, n) into.
   std::size_t chunk_count(std::size_t n) const {
     return n < workers_.size() ? n : workers_.size();
   }

@@ -15,14 +15,23 @@ constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 /// `fn(next, hop_distance)` in ascending-`next` order.
 ///
 /// Every edge adds one hop and hops compare first, so a (cost, node) heap
-/// pops level by level, each level in ascending (distance, node) order.
-/// Sorting each level's batch reproduces that order, ties included, and
-/// dst's route is final once its level is reached.  The search state is
-/// thread-local and reused: a lookup allocates only its result, and it
-/// resets only the entries the previous lookup touched (a member-to-head
-/// search reaches a few dozen nodes of thousands), so its cost follows the
-/// explored region rather than the network size.  `explored` receives the
-/// number of nodes the search reached.
+/// settles nodes level by level, and dst's route is final once its level
+/// is reached.  Each level is a plain list of node ids in the order they
+/// were first reached, processed once each with its final `best`; no level
+/// is sorted.  The heap pops level k in ascending (distance, node) order
+/// and keeps the first strictly better candidate, so it leaves
+/// prev[to] = the level-k node `at` minimising (dist_at + d(at, to),
+/// dist_at, at) lexicographically over the edges into `to`.  The unsorted
+/// pass computes that same argmin directly: it takes a strictly smaller
+/// candidate, and on an equal candidate it moves prev[to] to `at` only when
+/// (dist_at, at) < (best[prev[to]].dist, prev[to]).  A minimum does not
+/// depend on the order it is taken in, so `best` and `prev` equal the
+/// heap's, ties included.  The search state is thread-local and reused: a
+/// lookup allocates only its result, and it resets only the entries the
+/// previous lookup touched (a member-to-head search reaches a few dozen
+/// nodes of thousands), so its cost follows the explored region rather
+/// than the network size.  `explored` receives the number of nodes the
+/// search reached.
 ///
 /// With a hop table (`hop_to`, hop counts to dst; see HopTables) the search
 /// is goal-directed: it relaxes at->to only when hop_to[to] + 1 ==
@@ -31,10 +40,10 @@ constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 /// most one per edge, so a node v reached in k hops with hop_to[v] = H - k
 /// is on a min-hop src->dst path, and so is every level-(k-1) node that can
 /// relax it (its hop_to is at most H - k + 1 and at least H - (k - 1)).
-/// Those predecessors pass the filter, by induction carry the same `best`,
-/// and keep their (distance, node) rank within the smaller level, so
-/// `best` and `prev` along dst's route — ties included — match the full
-/// search.
+/// Those predecessors pass the filter and by induction carry the same
+/// `best`, so the argmin that sets `prev`, taken over the same candidates,
+/// picks the same node: `best` and `prev` along dst's route — ties
+/// included — match the full search.
 template <typename ForEachEdge>
 std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
                              const std::uint32_t* hop_to,
@@ -49,12 +58,11 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
   if (hop_to && hop_to[src] == kUnreachableHops) return {};
 
   using Cost = std::pair<std::size_t, double>;
-  using Entry = std::pair<double, NodeId>;  // (distance, node) in a level
   constexpr Cost kUnset{kUnreachable, 0.0};
   thread_local std::vector<Cost> best;
   thread_local std::vector<NodeId> prev;
   thread_local std::vector<NodeId> touched;
-  thread_local std::vector<Entry> level, next;
+  thread_local std::vector<NodeId> level, next;
   for (NodeId id : touched) {
     best[id] = kUnset;
     prev[id] = kInvalidNode;
@@ -66,25 +74,32 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
   }
   best[src] = {0, 0.0};
   touched.push_back(src);
-  level.assign(1, {0.0, src});
+  level.assign(1, src);
 
   for (std::size_t hops = 0; !level.empty() && best[dst].first > hops;
        ++hops) {
-    std::sort(level.begin(), level.end());
     next.clear();
-    for (const auto& [dist, at] : level) {
-      if (Cost{hops, dist} > best[at]) continue;  // superseded entry
+    for (NodeId at : level) {
+      const double dist = best[at].second;
       for_each_edge(at, [&](NodeId to, double d) {
         // Widened so an unreachable entry (kUnreachableHops) plus one
         // cannot wrap onto a real hop count.
         if (hop_to && std::uint64_t{hop_to[to]} + 1 != hop_to[at]) return;
+        Cost& cost = best[to];
         const Cost candidate{hops + 1, dist + d};
-        if (candidate < best[to]) {
-          if (best[to] == kUnset) touched.push_back(to);
-          best[to] = candidate;
-          prev[to] = at;
-          next.push_back({candidate.second, to});
+        if (cost == kUnset) {
+          touched.push_back(to);
+          next.push_back(to);
+        } else if (candidate > cost) {
+          return;
+        } else if (candidate == cost) {
+          const NodeId held = prev[to];
+          if (std::pair{dist, at} >= std::pair{best[held].second, held}) {
+            return;
+          }
         }
+        cost = candidate;
+        prev[to] = at;
       });
     }
     level.swap(next);

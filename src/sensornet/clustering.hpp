@@ -7,6 +7,22 @@
 // Formation is k-means on positions (deterministic seeded init); the head
 // of each cluster is the member with the most remaining energy, breaking
 // ties toward the centroid — a LEACH-flavoured rotation incentive.
+//
+// The k-means loop skips sensors whose nearest centroid is settled, using
+// Hamerly's bounds (Hamerly, "Making k-means even faster", SDM 2010): each
+// sensor keeps an upper bound on the distance to its own centroid (raised
+// by that centroid's move every iteration) and a lower bound on the
+// distance to every other centroid (lowered by the largest move), and each
+// centroid knows half the distance to its nearest other centroid.  A
+// sensor is skipped only when its upper bound plus a margin is below the
+// larger of the other two.  The margin is a multiple of the rounding
+// error at the largest coordinate magnitude among the sensors (city
+// regions sit at km-scale world origins), grown by one step per
+// iteration, so a skip never hides a tie or a near-tie the plain scan
+// would break differently.  Every sensor not skipped runs the plain scan:
+// strict `<`, lowest centroid index wins a tie.  Assignments, centroid
+// sums (in member order) and the iteration count are therefore exactly
+// those of the plain Lloyd loop.
 #pragma once
 
 #include <vector>

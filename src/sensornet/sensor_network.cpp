@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
 
 #include "net/flow.hpp"
@@ -411,7 +410,7 @@ void SensorNetwork::collect_clustered(const ScalarField& field, std::size_t k,
   auto clusters = std::make_shared<std::vector<Cluster>>(
       form_clusters(network_, sensors_, k, rng_));
   const auto qualified = qualifying_samples(*this, field, filter);
-  std::map<net::NodeId, double> values;
+  std::vector<std::optional<double>> values(network_.size());
   for (const auto& [sensor, value] : qualified) values[sensor] = value;
   round->result.expected = qualified.size();
 
@@ -468,9 +467,8 @@ void SensorNetwork::collect_clustered(const ScalarField& field, std::size_t k,
   for (std::size_t c = 0; c < clusters->size(); ++c) {
     const Cluster& cluster = (*clusters)[c];
     for (net::NodeId member : cluster.members) {
-      auto value_it = values.find(member);
-      if (value_it == values.end()) continue;  // dead or filtered out
-      const double value = value_it->second;
+      if (!values[member]) continue;  // dead or filtered out
+      const double value = *values[member];
       if (member == cluster.head) {
         (*head_states)[c].add(value);
         ++(*head_reports)[c];

@@ -202,35 +202,43 @@ TEST(ThreadPool, RunsAllTasks) {
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> touched(1000);
-  pool.parallel_for(1000, [&](std::size_t first, std::size_t last) {
-    for (std::size_t i = first; i < last; ++i) touched[i].fetch_add(1);
-  });
+  pool.parallel_for_chunks(
+      1000, [&](std::size_t, std::size_t first, std::size_t last) {
+        for (std::size_t i = first; i < last; ++i) touched[i].fetch_add(1);
+      });
   for (auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForZeroAndOne) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { ++calls; });
+  pool.parallel_for_chunks(
+      0, [&](std::size_t, std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   std::atomic<int> sum{0};
-  pool.parallel_for(1, [&](std::size_t first, std::size_t last) {
-    sum += static_cast<int>(last - first);
-  });
+  pool.parallel_for_chunks(
+      1, [&](std::size_t chunk, std::size_t first, std::size_t last) {
+        EXPECT_EQ(chunk, 0u);
+        sum += static_cast<int>(last - first);
+      });
   EXPECT_EQ(sum.load(), 1);
 }
 
 TEST(ThreadPool, SingleWorkerParallelForRunsInline) {
   ThreadPool pool(1);
   std::vector<int> touched(100, 0);
-  pool.parallel_for(100, [&](std::size_t first, std::size_t last) {
-    for (std::size_t i = first; i < last; ++i) ++touched[i];
-  });
+  const auto caller = std::this_thread::get_id();
+  pool.parallel_for_chunks(
+      100, [&](std::size_t, std::size_t first, std::size_t last) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        for (std::size_t i = first; i < last; ++i) ++touched[i];
+      });
   for (int t : touched) EXPECT_EQ(t, 1);
 }
 
 TEST(ThreadPool, ParallelForFromWorkerDoesNotDeadlock) {
-  // A worker that blocks on parallel_for futures served by its own queue
+  // A worker that blocks on parallel_for_chunks futures served by its own
+  // queue
   // would deadlock a saturated pool; the pool degrades to inline execution
   // instead.
   ThreadPool pool(2);
@@ -239,9 +247,10 @@ TEST(ThreadPool, ParallelForFromWorkerDoesNotDeadlock) {
   for (int t = 0; t < 4; ++t) {
     outer.push_back(pool.submit([&pool, &covered] {
       EXPECT_TRUE(pool.on_worker_thread());
-      pool.parallel_for(64, [&covered](std::size_t first, std::size_t last) {
-        covered += static_cast<int>(last - first);
-      });
+      pool.parallel_for_chunks(
+          64, [&covered](std::size_t, std::size_t first, std::size_t last) {
+            covered += static_cast<int>(last - first);
+          });
     }));
   }
   for (auto& f : outer) f.get();

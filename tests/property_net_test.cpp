@@ -153,10 +153,10 @@ TEST_P(NetProperty, ShortestPathIsHopOptimalAndValid) {
 }
 
 TEST_P(NetProperty, ShortestPathMatchesHeapDijkstraTieForTie) {
-  // shortest_path expands hop levels in sorted batches instead of popping a
-  // heap; the routes — including every tie between equal-length paths,
-  // which grid placement makes exact — must match the reference node for
-  // node.
+  // shortest_path expands each hop level once, unsorted, instead of popping
+  // a heap, and settles ties by the heap's (distance, node) rule; the
+  // routes — including every tie between equal-length paths, which grid
+  // placement makes exact — must match the reference node for node.
   for (std::size_t s = 0; s < ids_.size(); s += 1 + ids_.size() / 5) {
     for (auto dst : ids_) {
       EXPECT_EQ(shortest_path(net_, ids_[s], dst),

@@ -3,11 +3,14 @@
 // orderings, and replay deterministically — across sizes and strategies.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "net/flow.hpp"
 #include "net/reliable.hpp"
+#include "sensornet/clustering.hpp"
 #include "sensornet/lifetime.hpp"
 #include "sensornet/sensor_network.hpp"
 
@@ -160,6 +163,226 @@ INSTANTIATE_TEST_SUITE_P(
         case CollectionStrategy::kTreeAggregate: name += "tree"; break;
       }
       return name;
+    });
+
+// ---------------------------------------------------------------------------
+// Cluster formation: form_clusters skips sensors whose nearest centroid its
+// bounds prove settled.  The plain Lloyd loop below is the oracle: every
+// sensor scans every centroid every iteration.  Heads, member order and
+// centroids must come out bit-equal — over exact ties (duplicate positions,
+// collinear sensors at integer spacing), two floors, dead sensors, a
+// km-scale origin, and k from 1 to past the sensor count.
+// ---------------------------------------------------------------------------
+
+std::vector<Cluster> lloyd_reference(const net::Network& network,
+                                     const std::vector<net::NodeId>& sensors,
+                                     std::size_t k, common::Rng& rng,
+                                     std::size_t max_iterations = 25) {
+  std::vector<net::NodeId> alive;
+  for (net::NodeId id : sensors) {
+    if (network.alive(id)) alive.push_back(id);
+  }
+  if (alive.empty() || k == 0) return {};
+  k = std::min(k, alive.size());
+  std::vector<net::NodeId> seeds = alive;
+  rng.shuffle(std::span<net::NodeId>(seeds));
+  std::vector<net::Vec3> centroids;
+  for (std::size_t i = 0; i < k; ++i) {
+    centroids.push_back(network.node(seeds[i]).pos);
+  }
+  std::vector<std::size_t> assignment(alive.size(), 0);
+  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
+    bool changed = false;
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      const auto pos = network.node(alive[i]).pos;
+      std::size_t best = 0;
+      double best_d = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < k; ++c) {
+        const double d = distance(pos, centroids[c]);
+        if (d < best_d) {
+          best_d = d;
+          best = c;
+        }
+      }
+      if (assignment[i] != best) {
+        assignment[i] = best;
+        changed = true;
+      }
+    }
+    std::vector<net::Vec3> sums(k);
+    std::vector<std::size_t> counts(k, 0);
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      sums[assignment[i]] = sums[assignment[i]] + network.node(alive[i]).pos;
+      ++counts[assignment[i]];
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] > 0) {
+        centroids[c] = sums[c] * (1.0 / static_cast<double>(counts[c]));
+      }
+    }
+    if (!changed) break;
+  }
+  std::vector<Cluster> clusters(k);
+  for (std::size_t c = 0; c < k; ++c) clusters[c].centroid = centroids[c];
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    clusters[assignment[i]].members.push_back(alive[i]);
+  }
+  for (auto& cluster : clusters) {
+    double best_energy = -1.0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (net::NodeId id : cluster.members) {
+      const double energy = network.energy(id).remaining();
+      const double d = distance(network.node(id).pos, cluster.centroid);
+      if (energy > best_energy || (energy == best_energy && d < best_d)) {
+        best_energy = energy;
+        best_d = d;
+        cluster.head = id;
+      }
+    }
+  }
+  std::erase_if(clusters, [](const Cluster& c) { return c.members.empty(); });
+  return clusters;
+}
+
+/// Runs form_clusters and the oracle from the same rng state and requires
+/// bit-equal heads, member order and centroids, and the same rng draws.
+void expect_same_clusters(const net::Network& net,
+                          const std::vector<net::NodeId>& sensors,
+                          std::size_t k, std::uint64_t seed) {
+  const auto bits = [](const net::Vec3& v) {
+    return std::tuple{std::bit_cast<std::uint64_t>(v.x),
+                      std::bit_cast<std::uint64_t>(v.y),
+                      std::bit_cast<std::uint64_t>(v.z)};
+  };
+  common::Rng rng(seed);
+  common::Rng rng_ref = rng;
+  const auto got = form_clusters(net, sensors, k, rng);
+  const auto want = lloyd_reference(net, sensors, k, rng_ref);
+  ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " k " << k;
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    EXPECT_EQ(got[c].head, want[c].head)
+        << "seed " << seed << " k " << k << " cluster " << c;
+    EXPECT_EQ(got[c].members, want[c].members)
+        << "seed " << seed << " k " << k << " cluster " << c;
+    EXPECT_EQ(bits(got[c].centroid), bits(want[c].centroid))
+        << "seed " << seed << " k " << k << " cluster " << c;
+  }
+  EXPECT_EQ(rng.next_u64(), rng_ref.next_u64());
+}
+
+enum class Layout { kScatter, kDuplicates, kCollinear, kDiagonal, kTwoFloors };
+
+struct KMeansCase {
+  Layout layout;
+  net::Vec3 origin;  ///< world offset added to every position
+  bool with_dead;    ///< every seventh sensor is down
+};
+
+/// One deployment of `n` sensors drawn from `seed`, with uneven batteries
+/// so head selection sees both energy wins and energy ties.
+std::vector<net::NodeId> deploy_layout(net::Network& net,
+                                       const KMeansCase& layout,
+                                       std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  net::NodeConfig config;
+  config.kind = net::NodeKind::kSensor;
+  std::vector<net::NodeId> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    net::Vec3 p;
+    switch (layout.layout) {
+      case Layout::kScatter:
+        p = {rng.uniform(0.0, 60.0), rng.uniform(0.0, 45.0), 0.0};
+        break;
+      case Layout::kDuplicates:
+        // A 4 x 3 lattice: many sensors per point, centroids seeded on the
+        // same point, exact distance ties everywhere.
+        p = {5.0 * double(rng.index(4)), 5.0 * double(rng.index(3)), 0.0};
+        break;
+      case Layout::kCollinear:
+        // Integer spacing on one axis, some points doubled: sensors sit
+        // exactly halfway between two centroids.
+        p = {double(rng.index(n / 2 + 1)), 0.0, 0.0};
+        break;
+      case Layout::kDiagonal: {
+        // Integer steps along (0.6, 0.8): the same halfway ties as
+        // kCollinear, but every coordinate and distance is rounded, so a
+        // bound that drifts by one ulp past the true distance shows up.
+        const double t = double(rng.index(n / 2 + 1));
+        p = {0.6 * t, 0.8 * t, 0.0};
+        break;
+      }
+      case Layout::kTwoFloors:
+        p = {rng.uniform(0.0, 40.0), rng.uniform(0.0, 30.0),
+             rng.index(2) == 0 ? 0.0 : 3.5};
+        break;
+    }
+    config.pos = p + layout.origin;
+    ids.push_back(net.add_node(config));
+    if (rng.index(3) == 0) net.drain_energy(ids.back(), 0.5);
+    if (layout.with_dead && i % 7 == 3) net.set_node_up(ids.back(), false);
+  }
+  return ids;
+}
+
+class KMeansOracle : public ::testing::TestWithParam<KMeansCase> {};
+
+TEST_P(KMeansOracle, BitEqualToPlainLloydLoop) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const std::size_t n = 20 + (seed * 37) % 60;
+    sim::Simulator sim;
+    net::Network net(sim, common::Rng(seed));
+    const auto sensors = deploy_layout(net, GetParam(), n, seed);
+    for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                          std::size_t{40}, n, n + 5}) {
+      expect_same_clusters(net, sensors, k, seed * 1000 + k);
+    }
+  }
+}
+
+TEST(KMeansNearTies, BitEqualToPlainLloydLoopOverManyStarts) {
+  // Rounding decides the plain scan on the diagonal's halfway ties.  A skip
+  // test without its margin picks differently on about one start in a
+  // thousand here (an upper bound summed from centroid moves lands one ulp
+  // under the true distance), so sweep 4000 starts.
+  for (const net::Vec3 origin : {net::Vec3{}, net::Vec3{8191.7, 2500.3, 0.0}}) {
+    for (std::uint64_t deployment = 1; deployment <= 20; ++deployment) {
+      sim::Simulator sim;
+      net::Network net(sim, common::Rng(deployment));
+      const auto sensors = deploy_layout(
+          net, KMeansCase{Layout::kDiagonal, origin, false}, 40, deployment);
+      for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        expect_same_clusters(net, sensors, seed % 2 == 0 ? 7 : 12, seed);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, KMeansOracle,
+    ::testing::Values(
+        KMeansCase{Layout::kScatter, {}, false},
+        KMeansCase{Layout::kScatter, {7342.125, -5120.5, 0.0}, true},
+        KMeansCase{Layout::kDuplicates, {}, false},
+        KMeansCase{Layout::kDuplicates, {6000.0, 4000.0, 0.0}, true},
+        KMeansCase{Layout::kCollinear, {}, false},
+        KMeansCase{Layout::kCollinear, {8192.0, -3000.0, 0.0}, false},
+        KMeansCase{Layout::kCollinear, {8191.7, 2500.3, 0.0}, true},
+        KMeansCase{Layout::kDiagonal, {}, false},
+        KMeansCase{Layout::kDiagonal, {-3000.25, 7000.5, 0.0}, true},
+        KMeansCase{Layout::kTwoFloors, {}, true},
+        KMeansCase{Layout::kTwoFloors, {-4096.0, 9000.0, 12.0}, false}),
+    [](const ::testing::TestParamInfo<KMeansCase>& info) {
+      std::string name;
+      switch (info.param.layout) {
+        case Layout::kScatter: name = "scatter"; break;
+        case Layout::kDuplicates: name = "duplicates"; break;
+        case Layout::kCollinear: name = "collinear"; break;
+        case Layout::kDiagonal: name = "diagonal"; break;
+        case Layout::kTwoFloors: name = "two_floors"; break;
+      }
+      if (info.param.origin.x != 0.0) name += "_km_origin";
+      if (info.param.with_dead) name += "_dead";
+      return name + "_" + std::to_string(info.index);
     });
 
 // ---------------------------------------------------------------------------
