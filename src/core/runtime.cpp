@@ -706,10 +706,13 @@ QueryOutcome PervasiveGridRuntime::what_if(const std::string& query_text,
   // topology exactly; the physical field is copied so the clone observes
   // the same world (fires included).  Trials must never touch the real
   // experience file: a clone that loaded (or on destruction overwrote) it
-  // would leak trial state into the durable learner.  The clone borrows
-  // this runtime's compute pool (see the borrowing constructor).
+  // would leak trial state into the durable learner.  Nor does a trial
+  // replay the per-sensor service advertisements: the query pipeline never
+  // consults the broker, so the burst only costs set-up time.  The clone
+  // borrows this runtime's compute pool (see the borrowing constructor).
   RuntimeConfig trial_config = config_;
   trial_config.failover.experience_path.clear();
+  trial_config.advertise_sensor_services = false;
   PervasiveGridRuntime clone(std::move(trial_config), &compute_pool());
   *clone.field_ = *field_;
   return clone.submit_and_run(query_text, model);

@@ -63,7 +63,8 @@ struct RuntimeConfig {
   double ambient_celsius = 20.0;
   /// Advertise one sensing service per sensor to the broker at startup.
   /// Registration traffic is simulated, then energy is reset so experiments
-  /// start from full batteries.
+  /// start from full batteries.  What-if clones never advertise (see
+  /// PervasiveGridRuntime::what_if).
   bool advertise_sensor_services = true;
   /// Epochs to run when a continuous query is submitted.
   std::size_t continuous_epochs = 10;
@@ -176,6 +177,15 @@ class PervasiveGridRuntime {
   /// physical field, borrowed compute pool) — real batteries, traffic
   /// counters and learner state are untouched.  Use it to trial a model
   /// before committing, or to label oracle training data.
+  ///
+  /// The clone leaves out two things: the experience file (a trial must
+  /// never load or overwrite the durable learner) and the per-sensor
+  /// service advertisements.  No trial can observe the missing adverts:
+  /// the query pipeline never consults the broker, which only service
+  /// composition (compose::CompositionManager) queries.  The broker, the
+  /// handheld, the query processor and the compute-service providers are
+  /// all still registered, so a trial on an advertising deployment returns
+  /// exactly what it would on the same deployment with advertising off.
   QueryOutcome what_if(const std::string& query_text,
                        partition::SolutionModel model);
 
@@ -183,8 +193,9 @@ class PervasiveGridRuntime {
   /// outcomes in candidate order — the measured basis for an oracle label.
   /// Trials evaluate concurrently on the runtime's thread pool (see
   /// RuntimeConfig::what_if_parallelism): every clone is a fully isolated
-  /// deterministic deployment, so the outcomes are bit-identical to serial
-  /// evaluation regardless of parallelism or scheduling.
+  /// deterministic deployment, built as what_if builds it (no advertisement
+  /// burst), so the outcomes are bit-identical to serial evaluation
+  /// regardless of parallelism or scheduling.
   std::vector<QueryOutcome> what_if_all(const std::string& query_text);
 
   // --- world & subsystem access -------------------------------------------

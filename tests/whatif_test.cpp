@@ -172,6 +172,129 @@ TEST_F(WhatIfFixture, BatchedTrialsWithFewerWorkersThanCandidates) {
   }
 }
 
+// --- trials on an advertising deployment ------------------------------------
+//
+// A trial clone leaves out the per-sensor service advertisements: the query
+// pipeline never consults the broker, so an advertising deployment must
+// trial every model exactly as its non-advertising twin does.
+
+core::RuntimeConfig advertising_config() {
+  auto config = scenario_config();
+  config.advertise_sensor_services = true;
+  config.pool_threads = 4;
+  config.continuous_epochs = 3;
+  return config;
+}
+
+void ignite_scenario_fire(core::PervasiveGridRuntime& runtime) {
+  sensornet::FireSource fire;
+  fire.pos = {60, 60, 0};
+  fire.start = sim::SimTime::seconds(-3600.0);
+  fire.spread_m_per_s = 0.0;
+  runtime.field().ignite(fire);
+}
+
+const std::vector<std::string>& advertising_queries() {
+  static const std::vector<std::string> queries = {
+      "SELECT temp FROM sensors WHERE sensor = 24",
+      "SELECT AVG(temp) FROM sensors",
+      "SELECT TEMP_DISTRIBUTION(temp) FROM sensors",
+      "SELECT AVG(temp) FROM sensors EPOCH DURATION 5",
+  };
+  return queries;
+}
+
+TEST(WhatIfAdvertising, TrialsMatchTheNonAdvertisingTwin) {
+  auto silent_config = advertising_config();
+  silent_config.advertise_sensor_services = false;
+  core::PervasiveGridRuntime advertising(advertising_config());
+  core::PervasiveGridRuntime silent(silent_config);
+  ignite_scenario_fire(advertising);
+  ignite_scenario_fire(silent);
+  ASSERT_GT(advertising.broker().registry().size(),
+            silent.broker().registry().size());
+
+  for (const auto& q : advertising_queries()) {
+    auto parsed = query::parse_query(q);
+    ASSERT_TRUE(parsed.ok()) << q;
+    const auto cls = advertising.classifier().classify(parsed.value());
+    for (const auto model : partition::candidates_for(cls.inner)) {
+      SCOPED_TRACE(q + " under " + partition::to_string(model));
+      const auto with_adverts = advertising.what_if(q, model);
+      const auto without = silent.what_if(q, model);
+      EXPECT_EQ(with_adverts.model, without.model);
+      EXPECT_EQ(with_adverts.ok, without.ok);
+      EXPECT_EQ(with_adverts.actual.value, without.actual.value);
+      EXPECT_EQ(with_adverts.actual.energy_j, without.actual.energy_j);
+      EXPECT_EQ(with_adverts.actual.response_s, without.actual.response_s);
+      EXPECT_EQ(with_adverts.actual.data_bytes, without.actual.data_bytes);
+      EXPECT_EQ(with_adverts.telemetry.network_bytes(),
+                without.telemetry.network_bytes());
+    }
+  }
+}
+
+TEST(WhatIfAdvertising, ParallelTrialsMatchSerialTrials) {
+  auto parallel_config = advertising_config();
+  parallel_config.what_if_parallelism = 4;
+  auto serial_config = advertising_config();
+  serial_config.what_if_parallelism = 1;
+  core::PervasiveGridRuntime parallel_rt(parallel_config);
+  core::PervasiveGridRuntime serial_rt(serial_config);
+  ignite_scenario_fire(parallel_rt);
+  ignite_scenario_fire(serial_rt);
+
+  for (const auto& q : advertising_queries()) {
+    SCOPED_TRACE(q);
+    const auto par = parallel_rt.what_if_all(q);
+    const auto ser = serial_rt.what_if_all(q);
+    ASSERT_EQ(par.size(), ser.size());
+    for (std::size_t i = 0; i < par.size(); ++i) {
+      EXPECT_EQ(par[i].model, ser[i].model);
+      EXPECT_EQ(par[i].ok, ser[i].ok);
+      EXPECT_EQ(par[i].actual.value, ser[i].actual.value);
+      EXPECT_EQ(par[i].actual.energy_j, ser[i].actual.energy_j);
+      EXPECT_EQ(par[i].actual.response_s, ser[i].actual.response_s);
+      EXPECT_EQ(par[i].actual.data_bytes, ser[i].actual.data_bytes);
+      EXPECT_EQ(par[i].telemetry.network_bytes(),
+                ser[i].telemetry.network_bytes());
+    }
+  }
+}
+
+TEST(WhatIfAdvertising, TrialsLeaveTheAdvertsBatteriesAndLedgerAlone) {
+  core::PervasiveGridRuntime rt(advertising_config());
+  ignite_scenario_fire(rt);
+  const auto& registry = rt.broker().registry();
+  ASSERT_GE(registry.size(), rt.config().sensors.sensor_count);
+  std::set<std::string> adverts_before;
+  for (const auto& service : registry.all()) {
+    adverts_before.insert(service.name);
+  }
+  const auto battery_before = rt.network().battery_energy_consumed();
+  const auto ledger_before = rt.telemetry().total();
+
+  for (const auto& q : advertising_queries()) {
+    const auto outcomes = rt.what_if_all(q);
+    for (const auto& outcome : outcomes) {
+      EXPECT_TRUE(outcome.ok) << q << ": " << outcome.error;
+    }
+  }
+
+  std::set<std::string> adverts_after;
+  for (const auto& service : registry.all()) {
+    adverts_after.insert(service.name);
+  }
+  EXPECT_EQ(adverts_after, adverts_before);
+  EXPECT_EQ(rt.network().battery_energy_consumed(), battery_before);
+  const auto ledger_after = rt.telemetry().total();
+  EXPECT_EQ(ledger_after.bytes, ledger_before.bytes);
+  EXPECT_EQ(ledger_after.joules, ledger_before.joules);
+  EXPECT_EQ(ledger_after.ops, ledger_before.ops);
+  EXPECT_EQ(ledger_after.sim_seconds, ledger_before.sim_seconds);
+  EXPECT_EQ(ledger_after.count, ledger_before.count);
+}
+
 TEST_F(WhatIfFixture, ParseErrorSurfaces) {
   const auto outcomes = runtime_.what_if_all("SELEKT");
   ASSERT_EQ(outcomes.size(), 1u);
