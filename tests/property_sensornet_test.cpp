@@ -3,8 +3,10 @@
 // orderings, and replay deterministically — across sizes and strategies.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <tuple>
 
@@ -270,13 +272,22 @@ void expect_same_clusters(const net::Network& net,
   EXPECT_EQ(rng.next_u64(), rng_ref.next_u64());
 }
 
-enum class Layout { kScatter, kDuplicates, kCollinear, kDiagonal, kTwoFloors };
+// gtest prints a parameter's raw bytes into the test name, so KMeansCase
+// has no padding: an 8-byte layout tag and an explicit zeroed tail keep
+// every byte, and with it each case's name, the same from run to run.
+enum class Layout : std::uint64_t {
+  kScatter, kDuplicates, kCollinear, kDiagonal, kTwoFloors
+};
 
 struct KMeansCase {
   Layout layout;
   net::Vec3 origin;  ///< world offset added to every position
   bool with_dead;    ///< every seventh sensor is down
+  std::array<std::uint8_t, 7> tail{};
 };
+static_assert(sizeof(KMeansCase) ==
+                  sizeof(Layout) + sizeof(net::Vec3) + sizeof(bool) + 7,
+              "KMeansCase must have no padding bytes");
 
 /// One deployment of `n` sensors drawn from `seed`, with uneven batteries
 /// so head selection sees both energy wins and energy ties.
